@@ -361,6 +361,16 @@ def duplicate(c: Clutter, vertex: str) -> Clutter:
     return _canonical(labels, sets + extra, minimalize=False)
 
 
+def _vertex_vector(c: Clutter, values, what: str = "weights") -> tuple[int, ...]:
+    """A weight or exponent vector: one non-negative int per vertex."""
+    vec = tuple(int(x) for x in values)
+    if len(vec) != c.n:
+        raise ValueError(f"expected {c.n} {what}, got {len(vec)}")
+    if any(x < 0 for x in vec):
+        raise ValueError(f"{what} must be non-negative")
+    return vec
+
+
 def parallelization(c: Clutter, weights) -> Clutter:
     """Replace vertex i by w_i parallel copies (w_i = 0 deletes it).
 
@@ -369,11 +379,7 @@ def parallelization(c: Clutter, weights) -> Clutter:
     weight) expands to the prod(w_i, i in e) edges obtained by choosing one
     copy per vertex.  Weight 1 everywhere returns c itself.
     """
-    w = tuple(int(x) for x in weights)
-    if len(w) != c.n:
-        raise ValueError(f"expected {c.n} weights, got {len(w)}")
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be non-negative")
+    w = _vertex_vector(c, weights)
     taken = set(c.vertices)
     labels: list[str] = []
     copies: list[list[int]] = []

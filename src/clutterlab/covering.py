@@ -16,9 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 
-from .core import Clutter, InstanceTooLargeError, UnitIdealError, minor
+from .core import Clutter, InstanceTooLargeError, UnitIdealError, _vertex_vector, minor
 
 
 @lru_cache(maxsize=None)
@@ -126,20 +125,49 @@ def has_konig(c: Clutter) -> bool:
 
 
 def weighted_cover_number(c: Clutter, weights) -> int:
-    """min over minimal covers C of sum(w_i for i in C).
+    """tau_w: min over minimal covers C of sum(w_i for i in C).
 
     This is the covering number of the parallelization of c by w, computed
     without building the parallelization.
     """
-    w = tuple(int(x) for x in weights)
-    if len(w) != c.n:
-        raise ValueError(f"expected {c.n} weights, got {len(w)}")
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be non-negative")
+    w = _vertex_vector(c, weights)
     covers = minimal_vertex_covers(c)
     if not covers:
         return 0
     return min(sum(w[i] for i in cover) for cover in covers)
+
+
+def packs(c: Clutter, weights, k: int) -> bool:
+    """nu_w >= k: some multiset of k edges loads each vertex i at most w_i.
+
+    In the edge ideal this is x^w in I^k.  Depth-first search over edge
+    multisets in index order, pruned when the capacity left cannot hold the
+    edges still to place (sum(w) < k * least edge size).  Nothing is cached.
+    """
+    cap = list(_vertex_vector(c, weights))
+    if k <= 0:
+        return True
+    edges = c.edges
+    smallest = min((len(e) for e in edges), default=1)
+
+    def search(left: int, j0: int, total: int) -> bool:
+        if left == 0:
+            return True
+        if total < left * smallest:
+            return False
+        for j in range(j0, len(edges)):
+            e = edges[j]
+            if all(cap[i] for i in e):
+                for i in e:
+                    cap[i] -= 1
+                found = search(left - 1, j, total - len(e))
+                for i in e:
+                    cap[i] += 1
+                if found:
+                    return True
+        return False
+
+    return search(k, 0, sum(cap))
 
 
 @dataclass(frozen=True, slots=True)
@@ -241,11 +269,3 @@ def has_packing_property(c: Clutter, max_vertices: int = 14) -> PackingVerdict:
         ),
     )
 
-
-def all_minor_assignments(n: int):
-    """All assignments in {keep, delete, contract}^n in lexicographic order.
-
-    Exposed for tests that compare the recursive packing search against the
-    plain enumeration.
-    """
-    return product((_KEEP, _DELETE, _CONTRACT), repeat=n)

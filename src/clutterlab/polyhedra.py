@@ -12,9 +12,13 @@ and a weight vector w, the two dual programs of interest are
     covering:  min <w, x>   subject to  x >= 0,  x A >= 1
     packing:   max <y, 1>   subject to  y >= 0,  A y <= w
 
-whose common optimal value sits between the integer matching and covering
-numbers.  Q(A) = {x >= 0 : x A >= 1} is the covering polyhedron; the
-clutter is ideal when Q(A) has integral vertices only.
+whose common optimal value tau*_w satisfies nu_w <= tau*_w <= tau_w, the
+integer packing and cover numbers (`covering.packs` decides nu_w >= k,
+`covering.weighted_cover_number` gives tau_w).  `mfmc_bounded` and
+`rees.integral_closure_membership` decide from those bounds and solve a
+program here only when the bounds leave the answer open.
+Q(A) = {x >= 0 : x A >= 1} is the covering polyhedron; the clutter is ideal
+when Q(A) has integral vertices only.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from itertools import combinations, product
 
 from . import covering
 from ._linalg import solve_square
-from .core import Clutter, InstanceTooLargeError
+from .core import Clutter, InstanceTooLargeError, _vertex_vector
 
 
 def _frac(x) -> Fraction:
@@ -302,11 +306,7 @@ def _solve_ilp(lp: LinearProgram) -> IlpResult | None:
 
 def solve_covering_ilp(c: Clutter, weights) -> IlpResult:
     """Exact integer optimum of the covering program min{<w,x> : x A >= 1}."""
-    w = tuple(int(x) for x in weights)
-    if len(w) != c.n:
-        raise ValueError(f"expected {c.n} weights, got {len(w)}")
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be non-negative")
+    w = _vertex_vector(c, weights)
     if c.n == 0:
         return IlpResult(value=0, solution=())
     res = _solve_ilp(covering_lp(c, w))
@@ -317,11 +317,7 @@ def solve_covering_ilp(c: Clutter, weights) -> IlpResult:
 
 def solve_packing_ilp(c: Clutter, weights) -> IlpResult:
     """Exact integer optimum of the packing program max{<y,1> : A y <= w}."""
-    w = tuple(int(x) for x in weights)
-    if len(w) != c.n:
-        raise ValueError(f"expected {c.n} weights, got {len(w)}")
-    if any(x < 0 for x in w):
-        raise ValueError("weights must be non-negative")
+    w = _vertex_vector(c, weights)
     if c.q == 0:
         return IlpResult(value=0, solution=())
     res = _solve_ilp(packing_lp(c, w))
@@ -433,10 +429,13 @@ class MfmcVerdict:
 def mfmc_bounded(
     c: Clutter, max_weight: int = 3, max_boxes: int = 1 << 20
 ) -> MfmcVerdict:
-    """Check weighted_cover_number == packing ILP for all w in {0..W}^n.
+    """Check cover number tau_w == packing number nu_w for all w in {0..W}^n.
 
     Weights are scanned in lexicographic order, so a failure reports the
-    first counterexample.
+    first counterexample.  Since nu_w <= tau*_w <= tau_w, w passes once the
+    packing search finds tau_w edges.  Otherwise the packing ILP runs for
+    that w alone and gives the witness's ``packing_value``; an ILP optimum
+    of tau_w there contradicts the search and raises RuntimeError.
     """
     boxes = (max_weight + 1) ** c.n
     if boxes > max_boxes:
@@ -445,13 +444,16 @@ def mfmc_bounded(
         )
     for w in product(range(max_weight + 1), repeat=c.n):
         cover_value = covering.weighted_cover_number(c, w)
+        if covering.packs(c, w, cover_value):
+            continue
         packing_value = solve_packing_ilp(c, w).value
-        if cover_value != packing_value:
-            return MfmcVerdict(
-                certified=False,
-                bound=max_weight,
-                witness_weights=w,
-                cover_value=cover_value,
-                packing_value=packing_value,
-            )
+        if packing_value == cover_value:
+            raise RuntimeError(f"packing search and packing ILP disagree at w={w}")
+        return MfmcVerdict(
+            certified=False,
+            bound=max_weight,
+            witness_weights=w,
+            cover_value=cover_value,
+            packing_value=packing_value,
+        )
     return MfmcVerdict(certified=True, bound=max_weight)

@@ -4,7 +4,7 @@ The Rees cone of a clutter lives in ZZ^(n+1): it is spanned by the edge
 characteristic vectors lifted with a final coordinate 1 (the t-degree)
 together with the n coordinate unit vectors.  The edge ideal is normal
 exactly when every element (a, b) of the cone's Hilbert basis satisfies
-x^a in I^b, which `power_membership` decides by bounded multiset search.
+x^a in I^b, which `power_membership` decides by the search `covering.packs`.
 
 The Hilbert basis is computed exactly: a placing triangulation of the cone
 into simplicial subcones on generator rays, lattice-point enumeration of
@@ -17,6 +17,11 @@ Bounded surrogates compare ordinary powers I^i against integral closures
 (`is_normal_bounded`) and symbolic powers (`is_ntf_bounded`) by enumerating
 the candidate exponent box {0..i}^n, which contains every minimal generator
 of either larger ideal because all edge vectors are 0/1.
+
+With capacities a, x^a lies in I^i when the packing number nu_a >= i, in
+the integral closure when the fractional optimum tau*_a >= i, and in the
+symbolic power when the cover number tau_a >= i.  As nu_a <= tau*_a <= tau_a,
+the closure test runs the exact packing LP only when nu_a < i <= tau_a.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from ._linalg import (
     scale_to_integers,
     solve_square,
 )
-from .core import Clutter, InstanceTooLargeError
+from .core import Clutter, InstanceTooLargeError, _vertex_vector
 from .polyhedra import LinearProgram, packing_lp, solve_lp_exact
 
 
@@ -257,71 +262,32 @@ def cone_contains(cone: ReesCone, vector) -> bool:
     return solve_lp_exact(lp).status == "optimal"
 
 
-def _validated_exponents(c: Clutter, a) -> tuple[int, ...]:
-    vec = tuple(int(x) for x in a)
-    if len(vec) != c.n:
-        raise ValueError(f"expected {c.n} exponents, got {len(vec)}")
-    if any(x < 0 for x in vec):
-        raise ValueError("exponents must be non-negative")
-    return vec
-
-
-@lru_cache(maxsize=None)
-def _edge_vectors(c: Clutter) -> tuple[tuple[int, ...], ...]:
-    return tuple(c.characteristic_vector(j) for j in range(c.q))
-
-
-@lru_cache(maxsize=None)
-def _min_edge_size(c: Clutter) -> int:
-    return min(len(e) for e in c.edges)
-
-
 def power_membership(c: Clutter, a, i) -> bool:
     """x^a in I^i: some multiset of i edge vectors is componentwise <= a."""
-    vec = _validated_exponents(c, a)
+    vec = _vertex_vector(c, a, "exponents")
     power = int(i)
     if power < 0:
         raise ValueError("power must be non-negative")
-    if power == 0:
-        return True
-    if c.q == 0:
-        return False
-    return _power_search(c, vec, power, 0)
-
-
-@lru_cache(maxsize=None)
-def _power_search(c: Clutter, remaining: tuple[int, ...], k: int, j0: int) -> bool:
-    if k == 0:
-        return True
-    if sum(remaining) < k * _min_edge_size(c):
-        return False
-    edges = _edge_vectors(c)
-    for j in range(j0, c.q):
-        e = edges[j]
-        if all(r >= x for r, x in zip(remaining, e)):
-            rest = tuple(r - x for r, x in zip(remaining, e))
-            if _power_search(c, rest, k - 1, j):
-                return True
-    return False
+    return covering.packs(c, vec, power)
 
 
 def integral_closure_membership(c: Clutter, a, i) -> bool:
     """x^a in the integral closure of I^i.
 
-    Decided by the Newton-polyhedron test: a dominates a point of i times
-    the edge polytope, i.e. the exact fractional packing LP with vertex
-    capacities a has optimum at least i.
+    The Newton-polyhedron test: a dominates a point of i times the edge
+    polytope, i.e. the fractional packing optimum tau*_a is at least i.  As
+    nu_a <= tau*_a <= tau_a, it is False when tau_a < i and True when the
+    packing search finds i edges; only in between does the exact LP run.
     """
-    vec = _validated_exponents(c, a)
+    vec = _vertex_vector(c, a, "exponents")
     power = int(i)
     if power < 0:
         raise ValueError("power must be non-negative")
-    if power == 0:
-        return True
-    if c.q == 0:
+    if covering.weighted_cover_number(c, vec) < power:
         return False
-    result = solve_lp_exact(packing_lp(c, vec))
-    return result.value >= power
+    if covering.packs(c, vec, power):
+        return True
+    return solve_lp_exact(packing_lp(c, vec)).value >= power
 
 
 def symbolic_power_membership(c: Clutter, a, i) -> bool:
@@ -330,7 +296,7 @@ def symbolic_power_membership(c: Clutter, a, i) -> bool:
     The symbolic power of a square-free monomial ideal is the intersection
     of the i-th powers of its minimal primes, one per minimal vertex cover.
     """
-    vec = _validated_exponents(c, a)
+    vec = _vertex_vector(c, a, "exponents")
     power = int(i)
     if power < 0:
         raise ValueError("power must be non-negative")
@@ -432,7 +398,7 @@ def is_ntf_bounded(
 
 def monomial_string(c: Clutter, a, rees_degree: int = 0) -> str:
     """Render x^a (t^b) with vertex labels, e.g. ``x1^2*x3 t^2``."""
-    vec = _validated_exponents(c, a)
+    vec = _vertex_vector(c, a, "exponents")
     factors = []
     for label, e in zip(c.vertices, vec):
         if e == 1:

@@ -47,6 +47,7 @@ from clutterlab import (
     power_membership,
     report_hash,
     scan_conforti_cornuejols,
+    serialize_clutter,
     solve_packing_ilp,
     symbolic_power_membership,
     weighted_cover_number,
@@ -97,7 +98,7 @@ def test_criterion_02_cover_weight_formula_sweep():
     for c in classes:
         for w in itertools.product(range(4), repeat=c.n):
             if weighted_cover_number(c, w) != covering_number(parallelization(c, w)):
-                failures.append((c.vertices, c.edge_labels(), w))
+                failures.append((serialize_clutter(c), w))
     # belt and braces: a seeded subsample re-checked against the brute oracle
     rng = random.Random(20260817)
     sampled = 0
@@ -109,7 +110,7 @@ def test_criterion_02_cover_weight_formula_sweep():
             continue
         sampled += 1
         if weighted_cover_number(c, w) != oracles.brute_covering_number(cp):
-            failures.append(("oracle", c.edge_labels(), w))
+            failures.append(("oracle", serialize_clutter(c), w))
     _finish(2, "cover-weight-sweep", failures, time.perf_counter() - t0, 300.0)
 
 
@@ -124,7 +125,7 @@ def test_criterion_03_matching_weight_sweep():
             m = matching_number(parallelization(c, w))
             ilp = solve_packing_ilp(c, w).value
             if not (m <= ilp and m == ilp):
-                failures.append((c.edge_labels(), w, m, ilp))
+                failures.append((serialize_clutter(c), w, m, ilp))
     rng = random.Random(30260817)
     sampled = 0
     while sampled < 60:
@@ -135,7 +136,7 @@ def test_criterion_03_matching_weight_sweep():
             continue
         sampled += 1
         if oracles.brute_matching_number(cp) != solve_packing_ilp(c, w).value:
-            failures.append(("oracle", c.edge_labels(), w))
+            failures.append(("oracle", serialize_clutter(c), w))
     _finish(3, "matching-weight-sweep", failures, time.perf_counter() - t0, 600.0)
 
 
@@ -148,7 +149,7 @@ def test_criterion_04_power_coherence():
         via_weights = mfmc_bounded(c, 3).certified
         if not (via_closure == via_symbolic == via_weights):
             failures.append(
-                (c.edge_labels(), via_closure, via_symbolic, via_weights)
+                (serialize_clutter(c), via_closure, via_symbolic, via_weights)
             )
     _finish(4, "power-coherence", failures, time.perf_counter() - t0, 600.0)
 
@@ -165,7 +166,7 @@ def test_criterion_05_normality_under_parallelization():
         for w in itertools.product((0, 1, 2), repeat=c.n):
             cp = parallelization(c, w)
             if not is_normal(cp, max_vertices=8, max_edges=64).normal:
-                failures.append((c.edge_labels(), w))
+                failures.append((serialize_clutter(c), w))
     if bases != 166:
         failures.append(f"corpus size {bases} != 166")
     if normal_bases == 0:
@@ -183,11 +184,11 @@ def test_criterion_06_grafting_preserves_structure():
             total += 1
             g = graft(base)
             if not is_cohen_macaulay(g, field="Q").cohen_macaulay:
-                failures.append(("cm", d, base.edge_labels()))
+                failures.append(("cm", d, serialize_clutter(base)))
             if has_packing_property(base).holds:
                 pp_bases += 1
                 if not has_packing_property(g, max_vertices=15).holds:
-                    failures.append(("pp", d, base.edge_labels()))
+                    failures.append(("pp", d, serialize_clutter(base)))
             if mfmc_bounded(base, 1).certified:
                 mfmc_bases += 1
                 # weight-one boxes on the graft == König for every deletion
@@ -197,7 +198,7 @@ def test_criterion_06_grafting_preserves_structure():
                         v for v, k in zip(g.vertices, keep) if not k
                     )
                     if not has_konig(minor(g, deleted=dropped)):
-                        failures.append(("mfmc", d, base.edge_labels(), dropped))
+                        failures.append(("mfmc", d, serialize_clutter(base), dropped))
                         break
     if total != 66:
         failures.append(f"class count {total} != 66")
@@ -213,9 +214,9 @@ def test_criterion_07_packing_and_weight_implications():
     for c in enumerate_clutters(CorpusSpec(4)):
         count += 1
         if has_packing_property(c).holds and not is_ideal_clutter(c).ideal:
-            failures.append(("packing-implies-ideal", c.edge_labels()))
+            failures.append(("packing-implies-ideal", serialize_clutter(c)))
         if mfmc_bounded(c, 2).certified and not has_konig(c):
-            failures.append(("mfmc-implies-konig", c.edge_labels()))
+            failures.append(("mfmc-implies-konig", serialize_clutter(c)))
     if count != 166:
         failures.append(f"corpus size {count} != 166")
     _finish(7, "corpus-implications", failures, time.perf_counter() - t0, 300.0)
@@ -260,18 +261,18 @@ def test_criterion_09_oracle_equivalence():
         c = strategies.random_clutter(rng, max_n=5, max_q=5)
         mine = [tuple(c.vertices[i] for i in cov) for cov in minimal_vertex_covers(c)]
         if mine != oracles.brute_minimal_covers(c):
-            failures.append(("covers", c.edge_labels()))
+            failures.append(("covers", serialize_clutter(c)))
         if matching_number(c) != oracles.brute_matching_number(c):
-            failures.append(("matching", c.edge_labels()))
+            failures.append(("matching", serialize_clutter(c)))
         for i in (1, 2, 3):
             for _ in range(2):
                 a = tuple(rng.randrange(4) for _ in range(c.n))
                 if power_membership(c, a, i) != oracles.brute_power_membership(c, a, i):
-                    failures.append(("power", c.edge_labels(), a, i))
+                    failures.append(("power", serialize_clutter(c), a, i))
                 if symbolic_power_membership(c, a, i) != oracles.brute_symbolic_membership(c, a, i):
-                    failures.append(("symbolic", c.edge_labels(), a, i))
+                    failures.append(("symbolic", serialize_clutter(c), a, i))
                 if integral_closure_membership(c, a, i) != oracles.brute_closure_membership(c, a, i):
-                    failures.append(("closure", c.edge_labels(), a, i))
+                    failures.append(("closure", serialize_clutter(c), a, i))
     _finish(9, "oracle-equivalence", failures, time.perf_counter() - t0, 300.0)
 
 

@@ -263,6 +263,16 @@ class TestReports:
         other = check_properties(TRIANGLE, props=("cm",))
         assert report_hash([report]) != report_hash([other])
 
+    def test_timings_are_an_object(self):
+        # the documented schema: property name -> seconds
+        report = check_properties(TRIANGLE, props=("konig", "mfmc"))
+        item = json.loads(emit_report([report]))["reports"][0]
+        assert isinstance(item["timings"], dict)
+        assert list(item["timings"]) == ["konig", "mfmc"]
+        assert all(isinstance(s, float) for s in item["timings"].values())
+        (back,) = read_report(emit_report([report]))
+        assert back.timings == report.timings
+
     @settings(max_examples=20, deadline=None)
     @given(strategies.clutters(max_n=4, max_q=4))
     def test_round_trip_random(self, c):

@@ -1,9 +1,11 @@
-"""Exact LP/ILP, covering-polyhedron vertices, idealness, bounded MFMC."""
+"""Exact LP/ILP, covering-polyhedron vertices, idealness, bounded MFMC, and
+the packing search that decides most MFMC and integral-closure questions."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -11,11 +13,13 @@ from clutterlab import (
     covering_lp,
     covering_number,
     enumerate_Q_vertices,
+    integral_closure_membership,
     is_ideal_clutter,
     make_clutter,
     matching_number,
     mfmc_bounded,
     packing_lp,
+    packs,
     parse_clutter,
     solve_covering_ilp,
     solve_lp_exact,
@@ -28,6 +32,10 @@ TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 C4 = parse_clutter("v: x1 x2 x3 x4\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x1 x4\n")
 C5 = parse_clutter(
     "v: x1 x2 x3 x4 x5\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x4 x5\ne: x1 x5\n"
+)
+TWO_TRIANGLES = parse_clutter(
+    "v: x1 x2 x3 x4 x5 x6\n"
+    "e: x1 x2\ne: x1 x3\ne: x2 x3\ne: x4 x5\ne: x4 x6\ne: x5 x6\n"
 )
 K33 = parse_clutter(
     "v: a1 a2 a3 b1 b2 b3\n"
@@ -268,3 +276,46 @@ class TestMfmc:
                 expected = False
                 break
         assert mfmc_bounded(c, max_weight=1).certified == expected
+
+
+class TestPackingSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(strategies.clutters(max_n=4, max_q=4), st.data())
+    def test_agrees_with_ilp_and_brute_force(self, c, data):
+        w = tuple(data.draw(st.integers(0, 3)) for _ in range(c.n))
+        k = data.draw(st.integers(0, weighted_cover_number(c, w) + 1))
+        found = packs(c, w, k)
+        assert found == (solve_packing_ilp(c, w).value >= k)
+        assert found == (oracles.brute_max_packing(c, w) >= k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategies.clutters(max_n=4, max_q=4), st.data())
+    def test_closure_membership_matches_the_lp_route(self, c, data):
+        a = tuple(data.draw(st.integers(0, 3)) for _ in range(c.n))
+        i = data.draw(st.integers(0, weighted_cover_number(c, a) + 1))
+        expected = solve_lp_exact(packing_lp(c, a)).value >= i
+        assert integral_closure_membership(c, a, i) == expected
+
+    @pytest.mark.parametrize(
+        "c, i, tau, lp_value",
+        [
+            (TRIANGLE, 2, 2, F(3, 2)),
+            (C5, 3, 3, F(5, 2)),
+            (TWO_TRIANGLES, 3, 4, F(3)),
+        ],
+        ids=["triangle", "C5", "two-triangles"],
+    )
+    def test_gap_cases_are_decided_by_the_lp(self, c, i, tau, lp_value):
+        # nu < i <= tau at a = 1: neither bound decides, the LP does
+        a = (1,) * c.n
+        assert weighted_cover_number(c, a) == tau
+        assert not packs(c, a, i)
+        assert packs(c, a, i - 1)
+        assert solve_lp_exact(packing_lp(c, a)).value == lp_value
+        assert integral_closure_membership(c, a, i) == (lp_value >= i)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            packs(TRIANGLE, (1, 1), 1)
+        with pytest.raises(ValueError):
+            packs(TRIANGLE, (1, -1, 1), 1)
