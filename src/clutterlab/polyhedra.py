@@ -1,7 +1,7 @@
 """Exact rational linear programming and set-covering polyhedra.
 
-All arithmetic is over ``fractions.Fraction``; floating point is never
-used, so optima, vertices, and integrality verdicts are exact.  The solver
+All arithmetic is over ``fractions.Fraction`` or ``int``; floating point is
+never used, so optima, vertices, and integrality verdicts are exact.  The solver
 is a two-phase tableau simplex with Bland's rule (smallest-index entering
 column, smallest ratio then smallest basic variable leaving), which makes
 every answer deterministic and cycling impossible.
@@ -18,17 +18,20 @@ integer packing and cover numbers (`covering.packs` decides nu_w >= k,
 `rees.integral_closure_membership` decide from those bounds and solve a
 program here only when the bounds leave the answer open.
 Q(A) = {x >= 0 : x A >= 1} is the covering polyhedron; the clutter is ideal
-when Q(A) has integral vertices only.
+when Q(A) has integral vertices only.  `enumerate_Q_vertices` lists its
+vertices by the double description method (Motzkin et al. 1953; Fukuda and
+Prodon 1996) on the homogenised cone, in integer arithmetic, and
+`is_ideal_clutter` checks the integral ones against the minimal covers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 
 from . import covering
-from ._linalg import solve_square
+from ._linalg import primitive
 from .core import Clutter, InstanceTooLargeError, _vertex_vector
 
 
@@ -221,7 +224,7 @@ def covering_lp(c: Clutter, weights) -> LinearProgram:
     if len(w) != c.n:
         raise ValueError(f"expected {c.n} weights, got {len(w)}")
     rows = tuple(
-        tuple(Fraction(1 if i in set(e) else 0) for i in range(c.n)) for e in c.edges
+        tuple(Fraction(1 if i in e else 0) for i in range(c.n)) for e in c.edge_sets()
     )
     return LinearProgram(
         objective=w,
@@ -236,8 +239,9 @@ def packing_lp(c: Clutter, weights) -> LinearProgram:
     w = tuple(_frac(x) for x in weights)
     if len(w) != c.n:
         raise ValueError(f"expected {c.n} weights, got {len(w)}")
+    members = c.edge_sets()
     rows = tuple(
-        tuple(Fraction(1 if i in set(e) else 0) for e in c.edges) for i in range(c.n)
+        tuple(Fraction(1 if i in e else 0) for e in members) for i in range(c.n)
     )
     return LinearProgram(
         objective=tuple(Fraction(1) for _ in range(c.q)),
@@ -338,12 +342,67 @@ class QVertexSet:
         )
 
 
-def enumerate_Q_vertices(c: Clutter, max_vertices: int = 12) -> QVertexSet:
-    """All vertices of Q(A) = {x >= 0 : x A >= 1}, by basis enumeration.
+def _covering_cone_rays(n: int, edges) -> list[tuple[int, ...]]:
+    """Extreme rays of {(x, t) >= 0 : sum(x_i, i in e) - t >= 0 for each e}.
 
-    Every vertex is the unique solution of n linearly independent tight
-    constraints, so all n-subsets of the n + q constraints are tried and
-    feasible solutions collected.  Exact and deterministic.
+    Double description method: start from the n + 1 unit rays of the
+    orthant and add the edge constraints one at a time.  Each ray is a
+    primitive integer vector carried with the bitmask of the constraints it
+    makes tight (bit j < n + 1 for the coordinate j, bit n + 1 + k for edge
+    k).  A new constraint keeps the rays that satisfy it and replaces each
+    adjacent pair of one strictly satisfying and one violating ray by the
+    positive combination on its hyperplane.  The adjacency test is
+    combinatorial: the pair's common tight set must have at least n - 1
+    members (rank d - 2 in dimension d = n + 1) and lie in no third ray's
+    tight set.  The cone is pointed and full-dimensional, so the rays kept
+    are exactly the extreme rays at every step.
+    """
+    d = n + 1
+    rays = [tuple(int(i == j) for i in range(d)) for j in range(d)]
+    tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
+    for k, e in enumerate(edges, start=d):
+        bit = 1 << k
+        slacks = [sum(r[i] for i in e) - r[n] for r in rays]
+        next_rays = []
+        next_tight = []
+        for r, z, s in zip(rays, tight, slacks):
+            if s >= 0:
+                next_rays.append(r)
+                next_tight.append(z | bit if s == 0 else z)
+        negative = [j for j, s in enumerate(slacks) if s < 0]
+        for p, sp in enumerate(slacks):
+            if sp <= 0:
+                continue
+            for m in negative:
+                common = tight[p] & tight[m]
+                if common.bit_count() < n - 1 or any(
+                    common & z == common
+                    for j, z in enumerate(tight)
+                    if j != p and j != m
+                ):
+                    continue
+                sm = -slacks[m]
+                next_rays.append(
+                    primitive([sp * a + sm * b for a, b in zip(rays[m], rays[p])])
+                )
+                next_tight.append(common | bit)
+        rays, tight = next_rays, next_tight
+    return rays
+
+
+def enumerate_Q_vertices(c: Clutter, max_vertices: int = 12) -> QVertexSet:
+    """All vertices of Q(A) = {x >= 0 : x A >= 1}, by double description.
+
+    Q(A) is pointed, so its vertices v are exactly the extreme rays (v, 1)
+    of the homogenised cone {(x, t) >= 0 : x A >= t 1}; the other extreme
+    rays have t = 0 and span the recession cone.  `_covering_cone_rays`
+    enumerates them in integer arithmetic; the rays with t > 0, divided by
+    t, are returned as Fractions.  Exact and deterministic.
+
+    ``max_vertices`` bounds n, the clutter's vertex count.  This kernel
+    handles larger n, but the default stays 12 so that every verdict, a
+    size-guard refusal included, is the same as under the basis enumeration
+    it replaced (kept as `tests/oracles.brute_Q_vertices`).
     """
     n = c.n
     if n > max_vertices:
@@ -352,29 +411,12 @@ def enumerate_Q_vertices(c: Clutter, max_vertices: int = 12) -> QVertexSet:
         )
     if n == 0:
         return QVertexSet(vertices=((),))
-    constraints = []  # (coefficients, rhs)
-    for e in c.edges:
-        members = set(e)
-        constraints.append(
-            (tuple(Fraction(1 if i in members else 0) for i in range(n)), Fraction(1))
-        )
-    for i in range(n):
-        constraints.append(
-            (tuple(Fraction(1 if j == i else 0) for j in range(n)), Fraction(0))
-        )
-    found: set[tuple[Fraction, ...]] = set()
-    for combo in combinations(range(len(constraints)), n):
-        matrix = [constraints[k][0] for k in combo]
-        rhs = [constraints[k][1] for k in combo]
-        x = solve_square(matrix, rhs)
-        if x is None:
-            continue
-        if all(xi >= 0 for xi in x) and all(
-            sum(a * b for a, b in zip(coefs, x)) >= bound
-            for coefs, bound in constraints[: c.q]
-        ):
-            found.add(tuple(x))
-    return QVertexSet(vertices=tuple(sorted(found)))
+    vertices = (
+        tuple(Fraction(xi, r[n]) for xi in r[:n])
+        for r in _covering_cone_rays(n, c.edges)
+        if r[n] > 0
+    )
+    return QVertexSet(vertices=tuple(sorted(vertices)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -391,18 +433,16 @@ def is_ideal_clutter(c: Clutter, max_vertices: int = 12) -> IdealVerdict:
     mean an implementation bug and raises RuntimeError.
     """
     qset = enumerate_Q_vertices(c, max_vertices=max_vertices)
-    integral = []
+    integral = set()
     fractional = []
-    for v in qset.vertices:
-        if all(x.denominator == 1 for x in v):
-            integral.append(tuple(int(x) for x in v))
+    for v, flag in zip(qset.vertices, qset.integral_flags()):
+        if flag:
+            integral.add(tuple(int(x) for x in v))
         else:
             fractional.append(v)
-    covers = covering.minimal_vertex_covers(c)
-    cover_vectors = {
-        tuple(1 if i in set(cov) else 0 for i in range(c.n)) for cov in covers
-    }
-    if set(integral) != cover_vectors:
+    cover_sets = map(frozenset, covering.minimal_vertex_covers(c))
+    cover_vectors = {tuple(int(i in s) for i in range(c.n)) for s in cover_sets}
+    if integral != cover_vectors:
         raise RuntimeError(
             "integral Q(A) vertices disagree with the minimal-cover family"
         )

@@ -196,6 +196,38 @@ def _solve_dense(matrix, rhs):
     return [a[r][n] for r in range(n)]
 
 
+def brute_Q_vertices(c):
+    """Vertices of Q(A) = {x >= 0 : x A >= 1}, by basis enumeration.
+
+    Every vertex is the unique solution of n linearly independent tight
+    constraints, so every n-subset of the q edge rows and the n coordinate
+    rows is solved exactly and the feasible solutions are kept.  Returned
+    as a lexicographically sorted tuple of Fraction tuples.
+    """
+    n = c.n
+    if n == 0:
+        return ((),)
+    rows = []
+    rhs = []
+    for e in c.edges:
+        rows.append([Fraction(1 if v in set(e) else 0) for v in range(n)])
+        rhs.append(Fraction(1))
+    for i in range(n):
+        rows.append([Fraction(1 if v == i else 0) for v in range(n)])
+        rhs.append(Fraction(0))
+    found = set()
+    for chosen in combinations(range(len(rows)), n):
+        x = _solve_dense([rows[i] for i in chosen], [rhs[i] for i in chosen])
+        if x is None:
+            continue
+        if all(
+            sum(r * v for r, v in zip(rows[i], x)) >= rhs[i]
+            for i in range(len(rows))
+        ):
+            found.add(tuple(x))
+    return tuple(sorted(found))
+
+
 def brute_packing_lp_value(c, capacities):
     """max <y, 1> with Ay <= capacities, y >= 0, by basic-solution enumeration.
 

@@ -13,6 +13,7 @@ from clutterlab import (
     covering_lp,
     covering_number,
     enumerate_Q_vertices,
+    graft,
     integral_closure_membership,
     is_ideal_clutter,
     make_clutter,
@@ -36,6 +37,9 @@ C5 = parse_clutter(
 TWO_TRIANGLES = parse_clutter(
     "v: x1 x2 x3 x4 x5 x6\n"
     "e: x1 x2\ne: x1 x3\ne: x2 x3\ne: x4 x5\ne: x4 x6\ne: x5 x6\n"
+)
+SINGLETON_AND_TRIANGLE = parse_clutter(
+    "v: x1 x2 x3 x4\ne: x1\ne: x2 x3\ne: x2 x4\ne: x3 x4\n"
 )
 K33 = parse_clutter(
     "v: a1 a2 a3 b1 b2 b3\n"
@@ -223,10 +227,51 @@ class TestQVertices:
         assert not is_ideal_clutter(C5).ideal
         assert is_ideal_clutter(K33).ideal
 
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.clutters(max_n=6, max_q=7))
+    def test_matches_basis_enumeration(self, c):
+        assert enumerate_Q_vertices(c).vertices == oracles.brute_Q_vertices(c)
+
+    def test_grafted_k4(self):
+        k4 = make_clutter(
+            ["x1", "x2", "x3", "x4"],
+            [["x1", "x2"], ["x1", "x3"], ["x1", "x4"],
+             ["x2", "x3"], ["x2", "x4"], ["x3", "x4"]],
+        )
+        g = graft(k4)
+        assert g.n == 8
+        assert len(enumerate_Q_vertices(g).vertices) == 10
+        verdict = is_ideal_clutter(g)
+        assert not verdict.ideal
+        assert verdict.fractional_witness == (F(1, 2),) * 8
+
+    def test_c5_has_one_fractional_vertex(self):
+        vs = enumerate_Q_vertices(C5)
+        assert len(vs.vertices) == 6
+        fractional = [
+            v for v, flag in zip(vs.vertices, vs.integral_flags()) if not flag
+        ]
+        assert fractional == [(F(1, 2),) * 5]
+
+    def test_singleton_edge_fixes_its_vertex(self):
+        vs = enumerate_Q_vertices(SINGLETON_AND_TRIANGLE)
+        assert vs.vertices == (
+            (F(1), F(0), F(1), F(1)),
+            (F(1), F(1, 2), F(1, 2), F(1, 2)),
+            (F(1), F(1), F(0), F(1)),
+            (F(1), F(1), F(1), F(0)),
+        )
+        assert is_ideal_clutter(SINGLETON_AND_TRIANGLE).fractional_witness == (
+            F(1), F(1, 2), F(1, 2), F(1, 2)
+        )
+
+    def test_no_vertices(self):
+        assert enumerate_Q_vertices(make_clutter([], [])).vertices == ((),)
+
     def test_integral_vertices_are_the_minimal_covers(self):
         from clutterlab import minimal_vertex_covers
 
-        for c in (C4, K33):
+        for c in (C4, C5, K33):
             vs = enumerate_Q_vertices(c)
             integral = {
                 tuple(int(x) for x in v)
