@@ -3,26 +3,28 @@
 The independence complex of a clutter has the independent (edge-free)
 vertex sets as faces; its facets are exactly the complements of the minimal
 vertex covers.  Cohen-Macaulayness of the quotient by the edge ideal is
-decided by homology vanishing: for every face F, the link of F must have
-zero reduced homology in every dimension strictly below the link's own
-dimension.  Links are never materialized separately — the link of a face F
-is the independence complex of the minor contracting F, the vertices that
-become stranded in that minor are cone points (so such links are acyclic
-and skipped), and homology profiles are memoized per minor.
+decided by homology vanishing (Reisner's criterion): for every face F, the
+link of F must have zero reduced homology in every dimension strictly below
+the link's own dimension.  Faces and facets are vertex bitmasks, and the
+link of F is read off the facets containing F, with no minor built.  A link
+whose facets share a vertex is a cone (acyclic) and is skipped; link results
+are memoized for the duration of one check, keyed on the link's facets
+relabelled onto consecutive vertices.
 
 Homology is exact: boundary-matrix ranks via sparse fraction elimination
-over the rationals, or bitmask elimination over GF(2).
+over the rationals, or bitmask elimination over GF(2).  The link scan over
+the rationals ranks over GF(2) first and over Q only where GF(2) finds
+homology below the top dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations
 
 from . import covering
-from .core import Clutter, InstanceTooLargeError, minor
+from .core import Clutter, InstanceTooLargeError
 
 
 def _normalize_field(field: str) -> str:
@@ -167,6 +169,74 @@ def _rank_gf2(masks: list[int]) -> int:
     return rank
 
 
+def _mask(indices) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _faces(facets) -> set[int]:
+    """Every face of the complex with these facet masks, the empty one included."""
+    out: set[int] = set()
+    for f in facets:
+        sub = f
+        while sub:
+            out.add(sub)
+            sub = (sub - 1) & f
+    out.add(0)
+    return out
+
+
+def _betti(facets, fld: str, max_faces: int = 1 << 22) -> tuple[int, ...]:
+    """Reduced Betti numbers, dimensions -1..dim, of the complex whose facets
+    are the given bitmasks (at least one), from boundary-matrix ranks.
+
+    The boundary of a face drops its vertices in increasing index order with
+    alternating signs, starting at +1; over GF(2) a boundary row is a bitmask
+    of lower-face indices.
+    """
+    if sum(1 << f.bit_count() for f in facets) > max_faces:
+        raise InstanceTooLargeError(f"face enumeration bound {max_faces} exceeded")
+    by_dim: dict[int, list[int]] = {}
+    for face in _faces(facets):
+        by_dim.setdefault(face.bit_count() - 1, []).append(face)
+    dim = max(by_dim)
+    ranks: dict[int, int] = {}
+    for k in range(0, dim + 1):
+        lower = {f: i for i, f in enumerate(by_dim[k - 1])}
+        if fld == "F2":
+            masks = []
+            for f in by_dim[k]:
+                m, rest = 0, f
+                while rest:
+                    low = rest & -rest
+                    m |= 1 << lower[f ^ low]
+                    rest ^= low
+                masks.append(m)
+            ranks[k] = _rank_gf2(masks)
+        else:
+            rows = []
+            for f in by_dim[k]:
+                row: dict[int, object] = {}
+                sign, rest = 1, f
+                while rest:
+                    low = rest & -rest
+                    row[lower[f ^ low]] = sign
+                    sign = -sign
+                    rest ^= low
+                rows.append(row)
+            ranks[k] = _rank_rational(rows)
+    return tuple(
+        len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
+        for k in range(-1, dim + 1)
+    )
+
+
 def reduced_homology(
     sc: SimplicialComplex, field: str = "Q", max_faces: int = 1 << 22
 ) -> HomologyProfile:
@@ -178,41 +248,8 @@ def reduced_homology(
     fld = _normalize_field(field)
     if not sc.facets:
         return HomologyProfile(field=fld, dimension=None, betti=())
-    if sum(1 << len(f) for f in sc.facets) > max_faces:
-        raise InstanceTooLargeError(
-            f"face enumeration bound {max_faces} exceeded"
-        )
-    by_dim: dict[int, list[tuple[int, ...]]] = {}
-    for f in sc.faces():
-        by_dim.setdefault(len(f) - 1, []).append(f)
-    dim = max(by_dim)
-    index = {
-        d: {f: i for i, f in enumerate(faces)} for d, faces in by_dim.items()
-    }
-    ranks: dict[int, int] = {}
-    for k in range(0, dim + 1):
-        lower = index[k - 1]
-        if fld == "F2":
-            masks = []
-            for f in by_dim[k]:
-                m = 0
-                for i in range(len(f)):
-                    m |= 1 << lower[f[:i] + f[i + 1 :]]
-                masks.append(m)
-            ranks[k] = _rank_gf2(masks)
-        else:
-            rows = []
-            for f in by_dim[k]:
-                row: dict[int, object] = {}
-                for i in range(len(f)):
-                    row[lower[f[:i] + f[i + 1 :]]] = 1 if i % 2 == 0 else -1
-                rows.append(row)
-            ranks[k] = _rank_rational(rows)
-    betti = tuple(
-        len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
-        for k in range(-1, dim + 1)
-    )
-    return HomologyProfile(field=fld, dimension=dim, betti=betti)
+    betti = _betti([_mask(f) for f in sc.facets], fld, max_faces)
+    return HomologyProfile(field=fld, dimension=len(betti) - 2, betti=betti)
 
 
 @dataclass(frozen=True, slots=True)
@@ -231,9 +268,42 @@ class CmVerdict:
     link_witness: tuple[tuple[str, ...], int, int] | None = None
 
 
-@lru_cache(maxsize=None)
-def _link_homology(link: Clutter, fld: str, max_vertices: int) -> HomologyProfile:
-    return reduced_homology(independence_complex(link, max_vertices=max_vertices), fld)
+def _relabel(masks) -> tuple[int, ...]:
+    """The masks moved order-preservingly onto vertices 0..m-1, m the size
+    of their union, and sorted: a key shared by links equal up to labels
+    that keep the vertex order."""
+    support = 0
+    for m in masks:
+        support |= m
+    out = []
+    for m in masks:
+        r, j, rest = 0, 0, support
+        while rest:
+            low = rest & -rest
+            if m & low:
+                r |= 1 << j
+            j += 1
+            rest ^= low
+        out.append(r)
+    return tuple(sorted(out))
+
+
+def _link_failure(link: tuple[int, ...], fld: str) -> tuple[int, int] | None:
+    """First (dimension k, Betti number) with k below the link's dimension
+    and nonzero reduced homology over fld, or None.
+
+    Over Q the ranks are first taken over GF(2): by the universal coefficient
+    theorem each rational Betti number is at most the GF(2) one, so when
+    every GF(2) number below the top vanishes, so do the rational ones.
+    """
+    top = max(f.bit_count() for f in link) - 1
+    betti = _betti(link, "F2")
+    if fld == "Q" and any(betti[: top + 1]):
+        betti = _betti(link, "Q")
+    for k in range(-1, top):
+        if betti[k + 1]:
+            return k, betti[k + 1]
+    return None
 
 
 def is_cohen_macaulay(
@@ -243,8 +313,8 @@ def is_cohen_macaulay(
 
     Pre-filter: unequal minimal-cover sizes refute Cohen-Macaulayness
     immediately (the complex would not be pure).  Then faces are scanned in
-    (size, lex) order; the link of F is the independence complex of the
-    minor contracting F.  When that minor strands a vertex, the link is a
+    (size, lex) order; the link of F has the facets f - F of the facets f
+    containing F.  When every link facet shares a vertex, the link is a
     cone and is skipped as acyclic.
     """
     fld = _normalize_field(field)
@@ -263,20 +333,26 @@ def is_cohen_macaulay(
             field=fld,
             unmixed_witness=(labels(small), labels(big)),
         )
-    sc = independence_complex(c, max_vertices=max_vertices)
-    for face in sc.faces():
-        contracted = tuple(c.vertices[i] for i in face)
-        link = minor(c, deleted=(), contracted=contracted)
-        if link.n < c.n - len(face):
-            continue  # a stranded vertex cones the link: acyclic
-        profile = _link_homology(link, fld, max_vertices)
-        top = profile.dimension if profile.dimension is not None else -1
-        for k in range(-1, top):
-            b = profile.betti_number(k)
-            if b != 0:
-                return CmVerdict(
-                    cohen_macaulay=False,
-                    field=fld,
-                    link_witness=(contracted, k, b),
-                )
+    everything = (1 << c.n) - 1
+    facets = [everything & ~_mask(cover) for cover in covers]
+    faces = sorted(_faces(facets), key=lambda f: (f.bit_count(), _indices(f)))
+    failures: dict[tuple[int, ...], tuple[int, int] | None] = {}
+    for face in faces:
+        link = [f & ~face for f in facets if f & face == face]
+        apex = everything
+        for f in link:
+            apex &= f
+        if apex:
+            continue  # a vertex in every link facet cones the link: acyclic
+        key = _relabel(link)
+        if key not in failures:
+            failures[key] = _link_failure(key, fld)
+        failure = failures[key]
+        if failure is not None:
+            k, b = failure
+            return CmVerdict(
+                cohen_macaulay=False,
+                field=fld,
+                link_witness=(tuple(c.vertices[i] for i in _indices(face)), k, b),
+            )
     return CmVerdict(cohen_macaulay=True, field=fld)

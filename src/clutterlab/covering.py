@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Clutter, InstanceTooLargeError, UnitIdealError, _vertex_vector, minor
+from .core import Clutter, InstanceTooLargeError, _vertex_vector, minor
 
 
 @lru_cache(maxsize=None)
@@ -46,51 +46,51 @@ def minimal_vertex_covers(c: Clutter) -> tuple[tuple[int, ...], ...]:
     return tuple(sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t)))
 
 
-@lru_cache(maxsize=None)
-def covering_number(c: Clutter) -> int:
-    """alpha0: least size of a vertex cover, by direct branch and bound.
+def _edge_masks(c: Clutter) -> list[int]:
+    return [sum(1 << i for i in e) for e in c.edges]
 
-    Deliberately independent of minimal_vertex_covers so the two routes can
-    cross-check each other.
-    """
-    edges = c.edge_sets()
-    if not edges:
+
+def _cover_number(masks) -> int:
+    """Least number of vertices meeting every edge mask, by branch and bound."""
+    if not masks:
         return 0
-    best = len({v for e in edges for v in e})  # all vertices: always a cover
+    support = 0
+    for m in masks:
+        support |= m
+    best = support.bit_count()  # all vertices: always a cover
 
-    def greedy_disjoint(uncovered) -> int:
-        # a set of pairwise disjoint uncovered edges lower-bounds the cover size
-        used: set[int] = set()
-        count = 0
-        for e in uncovered:
-            if not (e & used):
-                used |= e
-                count += 1
-        return count
-
-    def search(chosen_size: int, uncovered: list[frozenset[int]]):
+    def search(chosen_size: int, uncovered: list[int]):
         nonlocal best
         if not uncovered:
             best = min(best, chosen_size)
             return
-        if chosen_size + greedy_disjoint(uncovered) >= best:
+        # a set of pairwise disjoint uncovered edges lower-bounds the cover size
+        used = disjoint = 0
+        for e in uncovered:
+            if not e & used:
+                used |= e
+                disjoint += 1
+        if chosen_size + disjoint >= best:
             return
-        first = min(uncovered, key=sorted)
-        for v in sorted(first):
-            search(chosen_size + 1, [e for e in uncovered if v not in e])
+        rest = min(uncovered, key=int.bit_count)
+        while rest:
+            low = rest & -rest
+            search(chosen_size + 1, [e for e in uncovered if not e & low])
+            rest ^= low
 
-    search(0, edges)
+    search(0, list(masks))
     return best
 
 
-@lru_cache(maxsize=None)
-def matching_number(c: Clutter) -> int:
-    """beta1: largest number of pairwise disjoint edges (exact search)."""
-    masks = [sum(1 << i for i in e) for e in c.edges]
+def _matching_number(masks) -> int:
+    """Largest number of pairwise disjoint edge masks, by exact search."""
+    masks = list(masks)
     if not masks:
         return 0
-    min_size = min(len(e) for e in c.edges)
-    all_vertices = (1 << c.n) - 1
+    min_size = min(m.bit_count() for m in masks)
+    support = 0
+    for m in masks:
+        support |= m
 
     # greedy initial bound
     best = 0
@@ -104,7 +104,7 @@ def matching_number(c: Clutter) -> int:
         nonlocal best
         if count > best:
             best = count
-        free = all_vertices & ~used
+        free = support & ~used
         cap = count + min(remaining, free.bit_count() // min_size)
         if cap <= best:
             return
@@ -112,10 +112,25 @@ def matching_number(c: Clutter) -> int:
             m = masks[k]
             if not (m & used):
                 search(k + 1, used | m, count + 1, remaining - (k + 1 - idx))
-        return
 
     search(0, 0, 0, len(masks))
     return best
+
+
+@lru_cache(maxsize=None)
+def covering_number(c: Clutter) -> int:
+    """alpha0: least size of a vertex cover, by direct branch and bound.
+
+    Deliberately independent of minimal_vertex_covers so the two routes can
+    cross-check each other.
+    """
+    return _cover_number(_edge_masks(c))
+
+
+@lru_cache(maxsize=None)
+def matching_number(c: Clutter) -> int:
+    """beta1: largest number of pairwise disjoint edges (exact search)."""
+    return _matching_number(_edge_masks(c))
 
 
 @lru_cache(maxsize=None)
@@ -190,7 +205,25 @@ class PackingVerdict:
 _KEEP, _DELETE, _CONTRACT = 0, 1, 2
 
 
-def has_packing_property(c: Clutter, max_vertices: int = 14) -> PackingVerdict:
+def _delete(edges: frozenset[int], bit: int) -> frozenset[int]:
+    return frozenset(e for e in edges if not e & bit)
+
+
+def _contract(edges: frozenset[int], bit: int) -> frozenset[int] | None:
+    """Clear the bit from every edge and keep the inclusion-minimal masks;
+    None when an edge vanishes (the unit ideal).
+
+    The edges are an antichain, so the only comparable pairs left are a
+    shrunk edge inside an edge that never held the bit.
+    """
+    shrunk = [e ^ bit for e in edges if e & bit]
+    if 0 in shrunk:
+        return None
+    kept = [e for e in edges if not e & bit and not any(s & e == s for s in shrunk)]
+    return frozenset(shrunk + kept)
+
+
+def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
     """Decide the packing property: every minor satisfies Konig.
 
     Minors are indexed by assignments in {keep, delete, contract}^n over the
@@ -198,63 +231,58 @@ def has_packing_property(c: Clutter, max_vertices: int = 14) -> PackingVerdict:
     are skipped.  On failure the witness is the lexicographically first
     failing assignment, with keep < delete < contract.
 
-    The search walks the assignment tree vertex by vertex, memoizing on the
-    intermediate minor, which is equivalent to enumerating all 3^n
-    assignments because deletions and contractions of distinct vertices
-    commute.
+    The search walks the assignment tree vertex by vertex on edge bitmasks
+    over the original vertex indices, memoizing on (edge masks, vertex),
+    which is equivalent to enumerating all 3^n assignments because
+    deletions and contractions of distinct vertices commute.  Only the
+    witness minor is built as a Clutter.
     """
     if c.n > max_vertices:
         raise InstanceTooLargeError(
             f"packing property limited to {max_vertices} vertices (got {c.n})"
         )
-    order = c.vertices
-    memo: dict[tuple[Clutter, int], bool] = {}
+    n = c.n
+    memo: dict[tuple[frozenset[int], int], bool] = {}
 
-    def fails(cur: Clutter, i: int) -> bool:
-        if i == len(order):
-            return not has_konig(cur)
-        key = (cur, i)
+    def fails(edges: frozenset[int], i: int) -> bool:
+        key = (edges, i)
         hit = memo.get(key)
         if hit is not None:
             return hit
-        v = order[i]
-        if v not in cur.vertices:
-            result = fails(cur, i + 1)
+        bit = 1 << i
+        if i == n:
+            result = _cover_number(edges) != _matching_number(edges)
+        elif not any(e & bit for e in edges):
+            result = fails(edges, i + 1)
         else:
-            result = fails(cur, i + 1)  # keep
+            result = fails(edges, i + 1) or fails(_delete(edges, bit), i + 1)  # keep, delete
             if not result:
-                result = fails(minor(cur, deleted=(v,)), i + 1)
-            if not result:
-                try:
-                    contracted = minor(cur, contracted=(v,))
-                except UnitIdealError:
-                    pass  # every completion of this prefix is the unit ideal
-                else:
-                    result = fails(contracted, i + 1)
+                contracted = _contract(edges, bit)
+                # None: every completion of this prefix is the unit ideal
+                result = contracted is not None and fails(contracted, i + 1)
         memo[key] = result
         return result
 
-    if not fails(c, 0):
+    cur = frozenset(_edge_masks(c))
+    if not fails(cur, 0):
         return PackingVerdict(holds=True)
 
     # Reconstruct the lexicographically first failing assignment by always
     # taking the smallest branch whose subtree contains a failure.
     assignment: list[int] = []
-    cur = c
-    for i, v in enumerate(order):
-        if v not in cur.vertices:
+    for i in range(n):
+        bit = 1 << i
+        if not any(e & bit for e in cur) or fails(cur, i + 1):
             assignment.append(_KEEP)
             continue
-        if fails(cur, i + 1):
-            assignment.append(_KEEP)
-            continue
-        deleted = minor(cur, deleted=(v,))
+        deleted = _delete(cur, bit)
         if fails(deleted, i + 1):
             assignment.append(_DELETE)
             cur = deleted
             continue
         assignment.append(_CONTRACT)
-        cur = minor(cur, contracted=(v,))
+        cur = _contract(cur, bit)
+    order = c.vertices
     deleted_labels = tuple(order[i] for i, t in enumerate(assignment) if t == _DELETE)
     contracted_labels = tuple(order[i] for i, t in enumerate(assignment) if t == _CONTRACT)
     witness_minor = minor(c, deleted=deleted_labels, contracted=contracted_labels)
@@ -268,4 +296,3 @@ def has_packing_property(c: Clutter, max_vertices: int = 14) -> PackingVerdict:
             beta1=matching_number(witness_minor),
         ),
     )
-

@@ -84,7 +84,7 @@ def rees_cone(c: Clutter) -> ReesCone:
 
 
 def hilbert_basis(
-    cone: ReesCone, max_vertices: int = 8, max_edges: int = 12
+    cone: ReesCone, max_vertices: int = 8, max_edges: int = 24
 ) -> HilbertBasis:
     """Minimal generating set of the lattice points of the cone.
 
@@ -321,7 +321,7 @@ class NormalityVerdict:
 
 
 def is_normal(
-    c: Clutter, max_vertices: int = 8, max_edges: int = 12
+    c: Clutter, max_vertices: int = 8, max_edges: int = 24
 ) -> NormalityVerdict:
     """Exact normality of the edge ideal via the Hilbert-basis criterion.
 

@@ -393,3 +393,69 @@ def reduced_euler_characteristic(facets):
         for k in range(len(f) + 1):
             faces.update(combinations(f, k))
     return sum((-1) ** (len(f) + 1) for f in faces)
+
+
+def _brute_index_covers(c):
+    """Minimal vertex covers as index tuples, sorted by (size, index lex)."""
+    edge_sets = _edge_sets(c)
+    covers = [
+        frozenset(s)
+        for k in range(c.n + 1)
+        for s in combinations(range(c.n), k)
+        if _is_cover(edge_sets, frozenset(s))
+    ]
+    minimal = [s for s in covers if not any(t < s for t in covers)]
+    return sorted((tuple(sorted(s)) for s in minimal), key=lambda t: (len(t), t))
+
+
+def brute_cm_verdict(c, field="Q"):
+    """(cohen_macaulay, unmixed_witness, link_witness) by Reisner's criterion.
+
+    Mirrors the unmixed pre-filter: covers of two sizes give the first cover
+    of the least and of the greatest size.  Otherwise every face of the
+    independence complex, in (size, index lex) order, has its link's reduced
+    Betti numbers computed densely; the first one nonzero below the link's
+    dimension gives (face labels, dimension, Betti number).
+    """
+    covers = _brute_index_covers(c)
+    labels = lambda t: tuple(c.vertices[i] for i in t)  # noqa: E731
+    small, big = covers[0], covers[-1]
+    if len(small) != len(big):
+        first_big = next(t for t in covers if len(t) == len(big))
+        return False, (labels(small), labels(first_big)), None
+    everything = frozenset(range(c.n))
+    facets = [everything - frozenset(t) for t in covers]
+    faces = {
+        s for f in facets for k in range(len(f) + 1)
+        for s in combinations(sorted(f), k)
+    }
+    for face in sorted(faces, key=lambda t: (len(t), t)):
+        link = [tuple(sorted(f - set(face))) for f in facets if f >= set(face)]
+        top = max(len(f) for f in link) - 1
+        betti = brute_reduced_betti(link, field=field)
+        for k in range(-1, top):
+            if betti.get(k, 0):
+                return False, None, (labels(face), k, betti[k])
+    return True, None, None
+
+
+def brute_packing_witness(c):
+    """(deleted labels, contracted labels, alpha0, beta1) of the first
+    assignment in lex order over {keep < delete < contract}^n whose minor
+    fails Konig, unit ideals skipped; None when every minor is Konig."""
+    edge_sets = _edge_sets(c)
+    for assignment in product((0, 1, 2), repeat=c.n):
+        deleted = frozenset(i for i, a in enumerate(assignment) if a == 1)
+        contracted = frozenset(i for i, a in enumerate(assignment) if a == 2)
+        edges = _minor_edges(edge_sets, deleted, contracted)
+        if edges is None:
+            continue
+        alpha, beta = _alpha_on_edges(edges), _beta_on_edges(edges)
+        if alpha != beta:
+            return (
+                tuple(c.vertices[i] for i in sorted(deleted)),
+                tuple(c.vertices[i] for i in sorted(contracted)),
+                alpha,
+                beta,
+            )
+    return None

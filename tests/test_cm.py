@@ -1,13 +1,18 @@
 """Independence complexes, reduced homology, and the Cohen-Macaulay check."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 
 import oracles
 import strategies
 from clutterlab import (
+    CorpusSpec,
     InstanceTooLargeError,
     SimplicialComplex,
+    enumerate_clutters,
+    graft,
     independence_complex,
     is_cohen_macaulay,
     make_clutter,
@@ -203,8 +208,6 @@ class TestCohenMacaulay:
         assert verdict.link_witness == ((), 0, 1)
 
     def test_grafted_triangle_holds(self):
-        from clutterlab import graft
-
         assert is_cohen_macaulay(graft(TRIANGLE)).cohen_macaulay
 
     def test_field_parameter(self):
@@ -219,3 +222,49 @@ class TestCohenMacaulay:
         )
         with pytest.raises(InstanceTooLargeError):
             is_cohen_macaulay(big)
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.clutters(max_n=6, max_q=6))
+    def test_matches_reisner_oracle(self, c):
+        for field in ("Q", "F2"):
+            v = is_cohen_macaulay(c, field=field)
+            assert (
+                v.cohen_macaulay, v.unmixed_witness, v.link_witness
+            ) == oracles.brute_cm_verdict(c, field), field
+
+    def test_projective_plane_clutter_depends_on_the_field(self):
+        # the ten triples that are not facets of RP2 are its minimal
+        # non-faces, so the independence complex of their clutter is RP2:
+        # acyclic over Q but with a GF(2) 1-cycle at the empty face
+        labels = [f"v{i}" for i in range(6)]
+        non_faces = [
+            [labels[i] for i in t]
+            for t in combinations(range(6), 3)
+            if t not in RP2_FACETS
+        ]
+        c = make_clutter(labels, non_faces)
+        assert independence_complex(c).facets == RP2_FACETS
+        assert is_cohen_macaulay(c, field="Q").cohen_macaulay
+        verdict = is_cohen_macaulay(c, field="F2")
+        assert not verdict.cohen_macaulay
+        assert verdict.link_witness == ((), 1, 1)
+
+    def test_witness_face_is_lex_first(self):
+        # the links of {x2, x8} and {x5, x7} are both disconnected; (size,
+        # lex) order reaches {x2, x8} first, bitmask order {x5, x7}
+        c = parse_clutter(
+            "v: x1 x2 x3 x4 x5 x6 x7 x8\n"
+            "e: x1 x4\ne: x1 x5\ne: x1 x6\ne: x1 x7\ne: x2 x4\ne: x2 x6\n"
+            "e: x3 x4\ne: x3 x5\ne: x3 x6\ne: x3 x7\ne: x4 x8\ne: x6 x8\n"
+        )
+        for field in ("Q", "F2"):
+            verdict = is_cohen_macaulay(c, field=field)
+            assert verdict.link_witness == (("x2", "x8"), 0, 1)
+
+    def test_grafts_of_small_3_uniform_classes_hold(self):
+        bases = list(
+            enumerate_clutters(CorpusSpec(4, uniform_size=3, isomorph_reject=True))
+        )
+        assert len(bases) == 4
+        for base in bases:
+            assert is_cohen_macaulay(graft(base), field="Q").cohen_macaulay

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -165,6 +166,27 @@ class TestPackingProperty:
         assert covering_number(failing) == w.alpha0
         assert matching_number(failing) == w.beta1
         assert w.alpha0 != w.beta1
+
+    def test_witness_keeps_before_deleting(self):
+        # the triangle fails with x1 kept, and so does deleting x1
+        c = parse_clutter("v: x1 x2 x3 x4\ne: x1\ne: x2 x3\ne: x2 x4\ne: x3 x4\n")
+        w = has_packing_property(c).witness
+        assert (w.deleted, w.contracted, w.alpha0, w.beta1) == ((), (), 3, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            strategies.clutters(max_n=5, max_q=5),
+            strategies.uniform_clutters(max_n=5, size=2, max_q=7),
+        )
+    )
+    def test_witness_is_the_brute_lex_first(self, c):
+        verdict = has_packing_property(c)
+        expected = oracles.brute_packing_witness(c)
+        assert verdict.holds == (expected is None)
+        if expected is not None:
+            w = verdict.witness
+            assert (w.deleted, w.contracted, w.alpha0, w.beta1) == expected
 
 
 class TestGuards:

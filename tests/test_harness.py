@@ -1,5 +1,6 @@
 """Corpus enumeration, property reports, theorem suite, scan, CLI."""
 
+import inspect
 import itertools
 import json
 
@@ -17,6 +18,11 @@ from clutterlab import (
     check_properties,
     emit_report,
     enumerate_clutters,
+    has_packing_property,
+    hilbert_basis,
+    is_cohen_macaulay,
+    is_ideal_clutter,
+    is_normal,
     isomorphism_key,
     make_clutter,
     parse_clutter,
@@ -142,6 +148,26 @@ class TestCheckProperties:
         report = check_properties(c5, props=("packing",))
         w = report.verdict("packing").witness
         assert w == {"deleted": [], "contracted": [], "alpha0": 3, "beta1": 2}
+
+
+class TestGuardDefaults:
+    """Each size guard's API default is the bound the harness passes."""
+
+    @pytest.mark.parametrize(
+        "function, parameter, field",
+        [
+            (has_packing_property, "max_vertices", "packing_max_vertices"),
+            (is_cohen_macaulay, "max_vertices", "cm_max_vertices"),
+            (is_ideal_clutter, "max_vertices", "ideal_max_vertices"),
+            (hilbert_basis, "max_vertices", "hilbert_max_vertices"),
+            (hilbert_basis, "max_edges", "hilbert_max_edges"),
+            (is_normal, "max_vertices", "hilbert_max_vertices"),
+            (is_normal, "max_edges", "hilbert_max_edges"),
+        ],
+    )
+    def test_api_default_matches_verify_bounds(self, function, parameter, field):
+        default = inspect.signature(function).parameters[parameter].default
+        assert default == getattr(VerifyBounds(), field)
 
 
 class TestVerifyTheorems:
