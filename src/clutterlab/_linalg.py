@@ -1,78 +1,13 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact integer linear algebra.
 
-Everything here works with ``fractions.Fraction`` or plain ``int``; no
-floating point is used anywhere.  These are small dense routines sized for
+Everything here works on plain ``int`` matrices and vectors; no floating
+point and no ``Fraction`` is used.  These are small dense routines sized for
 the desk-scale instances the rest of the package handles.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
-
-
-def solve_square(matrix, rhs):
-    """Solve ``matrix @ x = rhs`` exactly for a square matrix.
-
-    Returns the unique solution as a list of Fractions, or None when the
-    matrix is singular.
-    """
-    n = len(matrix)
-    a = [[Fraction(v) for v in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [a[r][n] for r in range(n)]
-
-
-def invert(matrix):
-    """Exact inverse of a square matrix, or None when singular."""
-    n = len(matrix)
-    a = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return None
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = a[col][col]
-        a[col] = [v / inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return [row[n:] for row in a]
-
-
-def rank(vectors) -> int:
-    """Rank of a list of integer/rational vectors (Gaussian elimination)."""
-    rows = [[Fraction(v) for v in vec] for vec in vectors]
-    if not rows:
-        return 0
-    width = len(rows[0])
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][col]
-        for i in range(r + 1, len(rows)):
-            if rows[i][col] != 0:
-                f = rows[i][col] / pv
-                rows[i] = [v - f * w for v, w in zip(rows[i], rows[r])]
-        r += 1
-        if r == len(rows):
-            break
-    return r
 
 
 def primitive(vec) -> tuple[int, ...]:
@@ -83,15 +18,6 @@ def primitive(vec) -> tuple[int, ...]:
     if g <= 1:
         return tuple(int(v) for v in vec)
     return tuple(int(v) // g for v in vec)
-
-
-def scale_to_integers(vec) -> tuple[int, ...]:
-    """Clear denominators of a rational vector and reduce to primitive form."""
-    denom = 1
-    for v in vec:
-        denom = denom * Fraction(v).denominator // gcd(denom, Fraction(v).denominator)
-    ints = [int(Fraction(v) * denom) for v in vec]
-    return primitive(ints)
 
 
 def hermite_diagonal(columns) -> list[int]:
@@ -127,24 +53,33 @@ def hermite_diagonal(columns) -> list[int]:
     return [cols[i][i] for i in range(d)]
 
 
-def determinant(matrix) -> Fraction:
-    """Exact determinant via fraction-free-ish Gaussian elimination."""
+def _det_adjugate(matrix) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate of a square integer matrix.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on ``[M | I]``: every
+    division by the previous pivot is exact, the left block ends as det * I
+    up to the sign of the row swaps, and the right block as the adjugate
+    up to the same sign.
+    Returns ``(0, None)`` for a singular matrix.
+    """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("determinant needs a square matrix")
-    a = [[Fraction(v) for v in row] for row in matrix]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    rows = [
+        [int(v) for v in row] + [int(i == j) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    sign, prev = 1, 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if rows[r][k]), None)
         if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        pv = a[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            if a[r][col] != 0:
-                f = a[r][col] / pv
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-    return det
+            return 0, None
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        top = rows[k]
+        p = top[k]
+        for i in range(n):
+            if i != k:
+                f = rows[i][k]
+                rows[i] = [(p * a - f * b) // prev for a, b in zip(rows[i], top)]
+        prev = p
+    return sign * prev, [[sign * v for v in row[n:]] for row in rows]

@@ -6,22 +6,28 @@ together with the n coordinate unit vectors.  The edge ideal is normal
 exactly when every element (a, b) of the cone's Hilbert basis satisfies
 x^a in I^b, which `power_membership` decides by the search `covering.packs`.
 
-The Hilbert basis is computed exactly: a placing triangulation of the cone
-into simplicial subcones on generator rays, lattice-point enumeration of
-each half-open fundamental parallelepiped (via the Hermite-diagonal residue
-system), and a grading-ordered irreducibility sieve.  The final hyperplane
+The Hilbert basis is computed exactly, in integer arithmetic only: a placing
+triangulation of the cone into simplicial subcones on generator rays,
+lattice-point enumeration of each half-open fundamental parallelepiped (via
+the Hermite-diagonal residue system), and a grading-ordered irreducibility
+sieve.  The initial simplex is picked with an integer echelon; its facet
+normals are the columns of one adjugate, and each parallelepiped is mapped
+to its residues through the adjugate of its rays, both from the one
+fraction-free elimination `_linalg._det_adjugate`.  The final hyperplane
 description produced by the incremental hull doubles as the cone-membership
 test used by the sieve.
 
 Bounded surrogates compare ordinary powers I^i against integral closures
 (`is_normal_bounded`) and symbolic powers (`is_ntf_bounded`) by enumerating
 the candidate exponent box {0..i}^n, which contains every minimal generator
-of either larger ideal because all edge vectors are 0/1.
+of either larger ideal because all edge vectors are 0/1.  Each point found to
+be a minimal generator of the larger ideal is checked against I^i.
 
 With capacities a, x^a lies in I^i when the packing number nu_a >= i, in
 the integral closure when the fractional optimum tau*_a >= i, and in the
 symbolic power when the cover number tau_a >= i.  As nu_a <= tau*_a <= tau_a,
-the closure test runs the exact packing LP only when nu_a < i <= tau_a.
+the closure test runs the exact packing LP only when nu_a < i <= tau_a.  The
+symbolic scan decides minimality from one pass of cover sums per point.
 """
 
 from __future__ import annotations
@@ -32,15 +38,7 @@ from functools import lru_cache
 from itertools import product
 
 from . import covering
-from ._linalg import (
-    determinant,
-    hermite_diagonal,
-    invert,
-    primitive,
-    rank,
-    scale_to_integers,
-    solve_square,
-)
+from ._linalg import _det_adjugate, hermite_diagonal, primitive
 from .core import Clutter, InstanceTooLargeError, _vertex_vector
 from .polyhedra import LinearProgram, packing_lp, solve_lp_exact
 
@@ -106,7 +104,7 @@ def _degree_lex(vec):
     return (sum(vec), vec)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
     D = cone.dim
     gens: list[tuple[int, ...]] = []
@@ -118,28 +116,35 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
     if all(sum(g) == 1 for g in gens):
         # sub-cone of the orthant spanned by unit vectors: they are the basis
         return HilbertBasis(dim=D, elements=tuple(sorted(gens, key=_degree_lex)))
-    if rank(gens) < D:
-        raise ValueError("cone must be full-dimensional or spanned by unit vectors")
 
-    # initial simplex: lexicographically first maximal independent generators
+    # initial simplex: lexicographically first maximal independent generators,
+    # found by reducing each one against an integer echelon of those chosen
     chosen: list[int] = []
-    for idx in range(len(gens)):
-        if rank([gens[i] for i in chosen] + [gens[idx]]) > len(chosen):
+    echelon: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
+    for idx, g in enumerate(gens):
+        v = g
+        for col, row in echelon:
+            if v[col]:
+                v = primitive([row[col] * x - v[col] * y for x, y in zip(v, row)])
+        if any(v):
+            echelon.append((next(k for k, x in enumerate(v) if x), v))
             chosen.append(idx)
             if len(chosen) == D:
                 break
+    if len(chosen) < D:
+        raise ValueError("cone must be full-dimensional or spanned by unit vectors")
     rest = [i for i in range(len(gens)) if i not in chosen]
     simplices: list[tuple[int, ...]] = [tuple(sorted(chosen))]
 
     # outward facet normals of the initial simplicial cone, with the set of
-    # processed generators each hyperplane vanishes on
+    # processed generators each hyperplane vanishes on: column j of the
+    # adjugate is orthogonal to every chosen ray but the j-th, and has dot
+    # product det with that one
+    det, adj = _det_adjugate([gens[i] for i in chosen])
+    sign = -1 if det > 0 else 1
     hull: list[list] = []  # [normal tuple, frozenset of zero-dot generator indices]
     for j in range(D):
-        mat = [gens[chosen[k]] for k in range(D) if k != j]
-        mat.append(gens[chosen[j]])
-        rhs = [Fraction(0)] * (D - 1) + [Fraction(-1)]
-        h = solve_square(mat, rhs)
-        normal = scale_to_integers(h)
+        normal = primitive([sign * row[j] for row in adj])
         hull.append([normal, frozenset(chosen[k] for k in range(D) if k != j)])
 
     dot_cache: dict[tuple[tuple[int, ...], int], int] = {}
@@ -213,9 +218,7 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
         if volume == 1:
             continue
         matrix = [[rays[col][row] for col in range(D)] for row in range(D)]
-        det = int(determinant(matrix))
-        inverse = invert(matrix)
-        adjugate = [[int(det * inverse[i][j]) for j in range(D)] for i in range(D)]
+        det, adjugate = _det_adjugate(matrix)
         for t in product(*(range(d) for d in diag)):
             floors = [
                 sum(adjugate[i][r] * t[r] for r in range(D)) // det for i in range(D)
@@ -351,7 +354,9 @@ class PowerCertificate:
     witness: tuple[tuple[int, ...], int] | None = None
 
 
-def _bounded_power_scan(c: Clutter, bound: int, member, max_boxes: int):
+def _bounded_power_scan(c: Clutter, bound: int, minimal, max_boxes: int):
+    """Check every a in {0..i}^n with ``minimal(a, i)`` against I^i, for
+    i = 1..bound in order; the first failure is the lex-first witness."""
     if bound < 1:
         raise ValueError("the power bound must be positive")
     if (bound + 1) ** c.n > max_boxes:
@@ -361,18 +366,7 @@ def _bounded_power_scan(c: Clutter, bound: int, member, max_boxes: int):
         )
     for i in range(1, bound + 1):
         for a in product(range(i + 1), repeat=c.n):
-            if not member(c, a, i):
-                continue
-            minimal = True
-            for j in range(c.n):
-                if a[j] > 0:
-                    lower = a[:j] + (a[j] - 1,) + a[j + 1 :]
-                    if member(c, lower, i):
-                        minimal = False
-                        break
-            if not minimal:
-                continue
-            if not power_membership(c, a, i):
+            if minimal(a, i) and not power_membership(c, a, i):
                 return PowerCertificate(certified=False, bound=bound, witness=(a, i))
     return PowerCertificate(certified=True, bound=bound)
 
@@ -386,14 +380,44 @@ def is_normal_bounded(
     entries <= i because edge vectors are 0/1), keeps the minimal members,
     and checks each against the ordinary power.
     """
-    return _bounded_power_scan(c, int(max_power), integral_closure_membership, max_boxes)
+
+    def minimal(a, i):
+        return integral_closure_membership(c, a, i) and not any(
+            a[j]
+            and integral_closure_membership(c, a[:j] + (a[j] - 1,) + a[j + 1 :], i)
+            for j in range(c.n)
+        )
+
+    return _bounded_power_scan(c, int(max_power), minimal, max_boxes)
 
 
 def is_ntf_bounded(
     c: Clutter, max_power: int, max_boxes: int = 1 << 20
 ) -> PowerCertificate:
-    """I^i equals the i-th symbolic power for all i <= max_power."""
-    return _bounded_power_scan(c, int(max_power), symbolic_power_membership, max_boxes)
+    """I^i equals the i-th symbolic power for all i <= max_power.
+
+    One pass over the minimal covers decides whether a is a minimal generator
+    of the symbolic power: with cover sums s_C = sum(a|C), a is a member iff
+    every s_C >= i, and a - e_j is one iff every cover holding j has
+    s_C >= i + 1.  So a member is minimal iff each j with a_j > 0 lies in a
+    cover with s_C = i.
+    """
+    covers = [
+        (cover, sum(1 << v for v in cover))
+        for cover in covering.minimal_vertex_covers(c)
+    ]
+
+    def minimal(a, i):
+        tight = 0
+        for cover, mask in covers:
+            s = sum(map(a.__getitem__, cover))
+            if s < i:
+                return False
+            if s == i:
+                tight |= mask
+        return all(tight >> j & 1 for j, x in enumerate(a) if x)
+
+    return _bounded_power_scan(c, int(max_power), minimal, max_boxes)
 
 
 def monomial_string(c: Clutter, a, rees_degree: int = 0) -> str:

@@ -7,7 +7,7 @@ vertex enumeration instead of simplex.  Only usable on tiny instances.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 
 def _edge_sets(c):
@@ -176,6 +176,51 @@ def brute_symbolic_membership(c, exponents, power):
         if sum(exponents[index[v]] for v in cover) < power:
             return False
     return True
+
+
+def brute_power_scan(c, bound, member):
+    """Bounded comparison of I^i with a larger ideal, point by point.
+
+    For i = 1..bound, every a in {0..i}^n (lex order) that is a member of the
+    larger ideal (``member(c, a, i)``) while no a - e_j is, must lie in I^i.
+    Returns (certified, bound, witness) with the first failing (a, i).
+    Membership answers are memoized, as each point is asked about up to n + 1
+    times.
+    """
+    seen = {}
+
+    def is_member(a, i):
+        if (a, i) not in seen:
+            seen[a, i] = member(c, a, i)
+        return seen[a, i]
+
+    for i in range(1, bound + 1):
+        for a in product(range(i + 1), repeat=c.n):
+            if not is_member(a, i):
+                continue
+            if any(
+                a[j] and is_member(a[:j] + (a[j] - 1,) + a[j + 1 :], i)
+                for j in range(c.n)
+            ):
+                continue
+            if not brute_power_membership(c, a, i):
+                return False, bound, (a, i)
+    return True, bound, None
+
+
+def brute_determinant(matrix):
+    """Leibniz formula: signed sum over all permutations."""
+    n = len(matrix)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for x in range(n) for y in range(x + 1, n) if perm[x] > perm[y]
+        )
+        term = -1 if inversions % 2 else 1
+        for row, col in enumerate(perm):
+            term *= matrix[row][col]
+        total += term
+    return total
 
 
 def _solve_dense(matrix, rhs):

@@ -1,13 +1,14 @@
 """Rees cones, Hilbert bases, normality, and bounded power membership."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import strategies
 from clutterlab import (
     InstanceTooLargeError,
+    adjoin_whisker_edge,
     cone_contains,
     hilbert_basis,
     integral_closure_membership,
@@ -16,11 +17,13 @@ from clutterlab import (
     is_ntf_bounded,
     make_clutter,
     monomial_string,
+    parallelization,
     parse_clutter,
     power_membership,
     rees_cone,
     symbolic_power_membership,
 )
+from clutterlab.rees import _hilbert_basis
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 C4 = parse_clutter("v: x1 x2 x3 x4\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x1 x4\n")
@@ -30,6 +33,7 @@ TWO_TRIANGLES = parse_clutter(
     "e: x4 x5\ne: x4 x6\ne: x5 x6\n"
 )
 SINGLE = make_clutter(["x1", "x2"], [["x1", "x2"]])
+PATH3 = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x2 x3\n")
 
 
 class TestReesCone:
@@ -101,6 +105,31 @@ class TestHilbertBasis:
         assert all(max(el) <= box for el in hb.elements)
         expected = oracles.brute_hilbert_basis(cone, cone_contains, box)
         assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            parallelization(PATH3, (1, 2, 1)),
+            parallelization(TRIANGLE, (2, 1, 1)),
+            adjoin_whisker_edge(SINGLE, "x1", 2),
+            adjoin_whisker_edge(TRIANGLE, "x1", 1),
+        ],
+        ids=["path-parallel", "triangle-parallel", "edge-whisker", "triangle-whisker"],
+    )
+    def test_derived_cones_match_box_oracle(self, c):
+        cone = rees_cone(c)
+        assert cone.dim <= 5
+        hb = hilbert_basis(cone)
+        box = 3
+        assert all(max(el) <= box for el in hb.elements)
+        expected = oracles.brute_hilbert_basis(cone, cone_contains, box)
+        assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
+
+    def test_cache_is_bounded(self):
+        # a `verify` round over CorpusSpec(4, uniform_size=2) and the 5-vertex
+        # 2-uniform classes meets 912 distinct Rees cones; the bound keeps
+        # them all while capping memory on longer scans
+        assert _hilbert_basis.cache_info().maxsize == 1024
 
 
 class TestPowerMembership:
@@ -207,6 +236,22 @@ class TestNormality:
     def test_box_guard(self):
         with pytest.raises(InstanceTooLargeError):
             is_ntf_bounded(TWO_TRIANGLES, 9, max_boxes=100)
+
+    @settings(max_examples=30, deadline=None)
+    @given(strategies.clutters(max_n=5), st.integers(min_value=1, max_value=2))
+    @example(make_clutter([], []), 2)
+    @example(make_clutter(["x1"], [["x1"]]), 2)
+    @example(make_clutter(["x1", "x2", "x3"], [["x1"], ["x2", "x3"]]), 2)
+    def test_bounded_scans_match_brute_scan(self, c, bound):
+        # same verdict and the same lex-first witness as the per-point scan
+        for scan, member in (
+            (is_ntf_bounded, oracles.brute_symbolic_membership),
+            (is_normal_bounded, oracles.brute_closure_membership),
+        ):
+            res = scan(c, bound)
+            assert (res.certified, res.bound, res.witness) == oracles.brute_power_scan(
+                c, bound, member
+            )
 
     @settings(max_examples=20, deadline=None)
     @given(strategies.uniform_clutters(max_n=4, size=2, max_q=4))
