@@ -139,21 +139,6 @@ class Clutter:
         return tuple(1 if i in members else 0 for i in range(self.n))
 
 
-@dataclass(frozen=True, slots=True)
-class IncidenceMatrix:
-    """Vertex-by-edge 0/1 incidence matrix of a clutter."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[int, ...], ...]
-
-    def row(self, i: int) -> tuple[int, ...]:
-        return self.entries[i]
-
-    def column(self, j: int) -> tuple[int, ...]:
-        return tuple(self.entries[i][j] for i in range(self.rows))
-
-
 def _canonical(labels, edge_index_sets, *, minimalize: bool) -> Clutter:
     """Build a canonical Clutter from labels and edge index sets.
 
@@ -288,14 +273,6 @@ def serialize_clutter(c: Clutter) -> str:
     for e in c.edges:
         lines.append("e: " + " ".join(c.vertices[i] for i in e))
     return "\n".join(lines) + "\n"
-
-
-def incidence_matrix(c: Clutter) -> IncidenceMatrix:
-    """Vertex-by-edge incidence matrix; rows follow vertex order."""
-    entries = tuple(
-        tuple(1 if i in set(e) else 0 for e in c.edges) for i in range(c.n)
-    )
-    return IncidenceMatrix(rows=c.n, cols=c.q, entries=entries)
 
 
 def minor(c: Clutter, deleted=(), contracted=()) -> Clutter:

@@ -152,21 +152,22 @@ def weighted_cover_number(c: Clutter, weights) -> int:
     return min(sum(w[i] for i in cover) for cover in covers)
 
 
-def packs(c: Clutter, weights, k: int) -> bool:
-    """nu_w >= k: some multiset of k edges loads each vertex i at most w_i.
+def _packing(c: Clutter, w: tuple[int, ...], k: int) -> list[int] | None:
+    """Indices of k edges, repeats allowed, loading each vertex i at most
+    w_i; None when there are none.
 
-    In the edge ideal this is x^w in I^k.  Depth-first search over edge
-    multisets in index order, pruned when the capacity left cannot hold the
-    edges still to place (sum(w) < k * least edge size).  Nothing is cached.
+    Depth-first search over edge multisets in index order, pruned when the
+    capacity left cannot hold the edges still to place (sum(w) < k * least
+    edge size).  The first multiset found is returned, in nondecreasing
+    index order.  Nothing is cached.
     """
-    cap = list(_vertex_vector(c, weights))
-    if k <= 0:
-        return True
+    cap = list(w)
     edges = c.edges
     smallest = min((len(e) for e in edges), default=1)
+    chosen: list[int] = []
 
     def search(left: int, j0: int, total: int) -> bool:
-        if left == 0:
+        if left <= 0:
             return True
         if total < left * smallest:
             return False
@@ -175,14 +176,23 @@ def packs(c: Clutter, weights, k: int) -> bool:
             if all(cap[i] for i in e):
                 for i in e:
                     cap[i] -= 1
-                found = search(left - 1, j, total - len(e))
+                chosen.append(j)
+                if search(left - 1, j, total - len(e)):
+                    return True
+                chosen.pop()
                 for i in e:
                     cap[i] += 1
-                if found:
-                    return True
         return False
 
-    return search(k, 0, sum(cap))
+    return chosen if search(k, 0, sum(cap)) else None
+
+
+def packs(c: Clutter, weights, k: int) -> bool:
+    """nu_w >= k: some multiset of k edges loads each vertex i at most w_i.
+
+    In the edge ideal this is x^w in I^k.
+    """
+    return _packing(c, _vertex_vector(c, weights), k) is not None
 
 
 @dataclass(frozen=True, slots=True)

@@ -12,9 +12,10 @@ and looks for any that fail a bounded max-flow min-cut or torsion-freeness
 check; such instances are CANDIDATE counterexamples to the packing-implies-
 MFMC conjecture.  A bounded MFMC failure carries an exact weight witness
 (an integer covering/packing gap at a concrete w), so a surviving candidate
-would be a genuine refutation, not a bound artifact; candidates are
-re-verified at raised bounds plus the exact Hilbert-basis normality check
-before being reported.
+would be a genuine refutation, not a bound artifact.  Each failing instance
+is re-checked at raised bounds and stays a candidate only when MFMC or NTF
+still fails there; the escalation also records the exact Hilbert-basis
+normality verdict, but that verdict does not decide candidacy.
 
 Reports serialize deterministically (JSON schema version 1, CSV, or text);
 the comparison hash excludes the timing fields.
@@ -532,12 +533,14 @@ def verify_theorems(
 class ScanResult:
     """Conforti-Cornuejols scan over the packing-property instances.
 
-    ``candidates`` lists instances that fail a bounded MFMC or NTF check
-    despite having the packing property, after re-verification at raised
-    bounds (max_weight + 2, max_power + 2) and the exact Hilbert-basis
-    normality check.  A candidate whose MFMC witness is an exact integer
-    covering/packing gap at a concrete weight vector is a definite MFMC
-    failure, not a bound artifact.
+    ``candidates`` lists instances that have the packing property and fail
+    a bounded MFMC or NTF check, both at the scan bounds and again at the
+    raised bounds (max_weight + 2, max_power + 2).  ``escalations`` holds
+    the raised-bound reports of every instance re-checked; each also
+    carries the exact Hilbert-basis normality verdict, which is recorded
+    but does not decide candidacy.  A candidate whose MFMC witness is an
+    exact integer covering/packing gap at a concrete weight vector is a
+    definite MFMC failure, not a bound artifact.
     """
 
     reports: tuple[PropertyReport, ...]

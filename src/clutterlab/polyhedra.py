@@ -13,10 +13,12 @@ and a weight vector w, the two dual programs of interest are
     packing:   max <y, 1>   subject to  y >= 0,  A y <= w
 
 whose common optimal value tau*_w satisfies nu_w <= tau*_w <= tau_w, the
-integer packing and cover numbers (`covering.packs` decides nu_w >= k,
-`covering.weighted_cover_number` gives tau_w).  `mfmc_bounded` and
-`rees.integral_closure_membership` decide from those bounds and solve a
-program here only when the bounds leave the answer open.
+integer packing and cover numbers.  The integer values come from exact
+searches, not from the simplex: `covering.packs` decides nu_w >= k,
+`solve_packing_ilp` counts nu_w with the same search, and
+`covering.weighted_cover_number` gives tau_w.  `mfmc_bounded` needs only
+those; `rees.integral_closure_membership` solves `packing_lp` for tau*_w
+when nu_w < k <= tau_w leaves its answer open.
 Q(A) = {x >= 0 : x A >= 1} is the covering polyhedron; the clutter is ideal
 when Q(A) has integral vertices only.  `enumerate_Q_vertices` lists its
 vertices by the double description method (Motzkin et al. 1953; Fukuda and
@@ -41,14 +43,13 @@ def _frac(x) -> Fraction:
 
 @dataclass(frozen=True, slots=True)
 class LinearProgram:
-    """min (or max) <objective, x> s.t. rows {<=,>=,=} rhs, x >= lower_bounds."""
+    """min (or max) <objective, x> s.t. rows {<=,>=,=} rhs, x >= 0."""
 
     objective: tuple[Fraction, ...]
     rows: tuple[tuple[Fraction, ...], ...]
     senses: tuple[str, ...]
     rhs: tuple[Fraction, ...]
     maximize: bool = False
-    lower_bounds: tuple[Fraction, ...] | None = None
 
     def __post_init__(self):
         nvars = len(self.objective)
@@ -112,20 +113,11 @@ def _run_simplex(tab, obj, basis, allowed):
 def solve_lp_exact(lp: LinearProgram) -> LpResult:
     """Exact two-phase simplex.  Deterministic via Bland's rule."""
     nvars = len(lp.objective)
-    lower = lp.lower_bounds or tuple(Fraction(0) for _ in range(nvars))
-    lower = tuple(_frac(x) for x in lower)
     sign = -1 if lp.maximize else 1
     costs = [sign * _frac(cj) for cj in lp.objective]
-
-    # shift x = y + lower so y >= 0
-    rows = []
-    rhs = []
+    rows = [[_frac(v) for v in row] for row in lp.rows]
+    rhs = [_frac(b) for b in lp.rhs]
     senses = list(lp.senses)
-    for row, s, b in zip(lp.rows, lp.senses, lp.rhs):
-        row = [_frac(v) for v in row]
-        shift = sum(v * l for v, l in zip(row, lower))
-        rows.append(row)
-        rhs.append(_frac(b) - shift)
 
     # normalize rhs >= 0
     for i in range(len(rows)):
@@ -213,25 +205,9 @@ def solve_lp_exact(lp: LinearProgram) -> LpResult:
     x = [Fraction(0)] * total
     for i, b in enumerate(basis):
         x[b] = tab[i][-1]
-    solution = tuple(x[j] + lower[j] for j in range(nvars))
+    solution = tuple(x[:nvars])
     value = sum(_frac(cj) * v for cj, v in zip(lp.objective, solution))
     return LpResult(status="optimal", value=value, solution=solution)
-
-
-def covering_lp(c: Clutter, weights) -> LinearProgram:
-    """min <w, x>, x >= 0, one row sum(x_i, i in e) >= 1 per edge e."""
-    w = tuple(_frac(x) for x in weights)
-    if len(w) != c.n:
-        raise ValueError(f"expected {c.n} weights, got {len(w)}")
-    rows = tuple(
-        tuple(Fraction(1 if i in e else 0) for i in range(c.n)) for e in c.edge_sets()
-    )
-    return LinearProgram(
-        objective=w,
-        rows=rows,
-        senses=tuple(">=" for _ in rows),
-        rhs=tuple(Fraction(1) for _ in rows),
-    )
 
 
 def packing_lp(c: Clutter, weights) -> LinearProgram:
@@ -258,76 +234,20 @@ class IlpResult:
     solution: tuple[int, ...]
 
 
-def _solve_ilp(lp: LinearProgram) -> IlpResult | None:
-    """Branch and bound over the exact LP relaxation.
-
-    Branches on the smallest-index fractional variable, exploring the floor
-    branch first, so the reported optimal solution is deterministic.
-    Returns None when the program is infeasible.
-    """
-    best_value: Fraction | None = None
-    best_solution: tuple[int, ...] | None = None
-    sign = -1 if lp.maximize else 1
-
-    stack = [()]  # each node: tuple of extra (coef_row, sense, bound)
-    while stack:
-        extra = stack.pop()
-        node = LinearProgram(
-            objective=lp.objective,
-            rows=lp.rows + tuple(e[0] for e in extra),
-            senses=lp.senses + tuple(e[1] for e in extra),
-            rhs=lp.rhs + tuple(e[2] for e in extra),
-            maximize=lp.maximize,
-            lower_bounds=lp.lower_bounds,
-        )
-        res = solve_lp_exact(node)
-        if res.status == "infeasible":
-            continue
-        if res.status == "unbounded":
-            raise ValueError("integer program is unbounded")
-        if best_value is not None and sign * res.value >= sign * best_value:
-            continue
-        frac_var = next(
-            (j for j, v in enumerate(res.solution) if v.denominator != 1), None
-        )
-        if frac_var is None:
-            best_value = res.value
-            best_solution = tuple(int(v) for v in res.solution)
-            continue
-        v = res.solution[frac_var]
-        unit = tuple(
-            Fraction(1 if j == frac_var else 0) for j in range(len(lp.objective))
-        )
-        lo = (unit, "<=", Fraction(v.numerator // v.denominator))
-        hi = (unit, ">=", Fraction(v.numerator // v.denominator + 1))
-        # LIFO: push the ceiling branch first so the floor branch runs first
-        stack.append(extra + (hi,))
-        stack.append(extra + (lo,))
-    if best_value is None:
-        return None
-    return IlpResult(value=int(best_value), solution=best_solution)
-
-
-def solve_covering_ilp(c: Clutter, weights) -> IlpResult:
-    """Exact integer optimum of the covering program min{<w,x> : x A >= 1}."""
-    w = _vertex_vector(c, weights)
-    if c.n == 0:
-        return IlpResult(value=0, solution=())
-    res = _solve_ilp(covering_lp(c, w))
-    if res is None:
-        raise RuntimeError("covering program cannot be infeasible")
-    return res
-
-
 def solve_packing_ilp(c: Clutter, weights) -> IlpResult:
-    """Exact integer optimum of the packing program max{<y,1> : A y <= w}."""
+    """nu_w, the integer optimum of the packing program max{<y,1> : A y <= w}.
+
+    The value is the largest k for which the packing search
+    (`covering._packing`) finds k edges, counting up from 0; the search is
+    monotone in k, so the first failure ends the count.  ``solution`` gives
+    each edge's multiplicity in the last packing found.
+    """
     w = _vertex_vector(c, weights)
-    if c.q == 0:
-        return IlpResult(value=0, solution=())
-    res = _solve_ilp(packing_lp(c, w))
-    if res is None:
-        raise RuntimeError("packing program cannot be infeasible")
-    return res
+    value, chosen = 0, []
+    while (found := covering._packing(c, w, value + 1)) is not None:
+        value, chosen = value + 1, found
+    multiplicities = tuple(chosen.count(j) for j in range(c.q))
+    return IlpResult(value=value, solution=multiplicities)
 
 
 @dataclass(frozen=True, slots=True)
@@ -453,7 +373,7 @@ def is_ideal_clutter(c: Clutter, max_vertices: int = 12) -> IdealVerdict:
 
 @dataclass(frozen=True, slots=True)
 class MfmcVerdict:
-    """Bounded certificate that covering and packing integer optima agree.
+    """Bounded certificate that the cover and packing numbers agree.
 
     ``certified`` means equality held for every weight box entry up to the
     bound; it is evidence, not a proof for all weights.
@@ -472,10 +392,9 @@ def mfmc_bounded(
     """Check cover number tau_w == packing number nu_w for all w in {0..W}^n.
 
     Weights are scanned in lexicographic order, so a failure reports the
-    first counterexample.  Since nu_w <= tau*_w <= tau_w, w passes once the
-    packing search finds tau_w edges.  Otherwise the packing ILP runs for
-    that w alone and gives the witness's ``packing_value``; an ILP optimum
-    of tau_w there contradicts the search and raises RuntimeError.
+    first counterexample.  Since nu_w <= tau_w, w passes once the packing
+    search finds tau_w edges.  Otherwise `solve_packing_ilp` counts nu_w for
+    that w alone, the witness's ``packing_value``, which is below tau_w.
     """
     boxes = (max_weight + 1) ** c.n
     if boxes > max_boxes:
@@ -486,14 +405,11 @@ def mfmc_bounded(
         cover_value = covering.weighted_cover_number(c, w)
         if covering.packs(c, w, cover_value):
             continue
-        packing_value = solve_packing_ilp(c, w).value
-        if packing_value == cover_value:
-            raise RuntimeError(f"packing search and packing ILP disagree at w={w}")
         return MfmcVerdict(
             certified=False,
             bound=max_weight,
             witness_weights=w,
             cover_value=cover_value,
-            packing_value=packing_value,
+            packing_value=solve_packing_ilp(c, w).value,
         )
     return MfmcVerdict(certified=True, bound=max_weight)

@@ -16,7 +16,6 @@ from clutterlab import (
     adjoin_whisker_edge,
     duplicate,
     graft,
-    incidence_matrix,
     is_uniform,
     make_clutter,
     minor,
@@ -113,14 +112,6 @@ class TestParsing:
     @given(strategies.clutters())
     def test_round_trip_random(self, c):
         assert parse_clutter(serialize_clutter(c)) == c
-
-
-class TestIncidence:
-    def test_triangle_matrix(self):
-        m = incidence_matrix(triangle())
-        assert (m.rows, m.cols) == (3, 3)
-        assert m.entries == ((1, 1, 0), (1, 0, 1), (0, 1, 1))
-        assert m.column(0) == (1, 1, 0)
 
 
 class TestMinor:

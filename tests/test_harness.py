@@ -1,8 +1,10 @@
 """Corpus enumeration, property reports, theorem suite, scan, CLI."""
 
+import importlib
 import inspect
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -168,6 +170,38 @@ class TestGuardDefaults:
     def test_api_default_matches_verify_bounds(self, function, parameter, field):
         default = inspect.signature(function).parameters[parameter].default
         assert default == getattr(VerifyBounds(), field)
+
+
+class TestBenchmarkMetricNames:
+    """Every function a per-layer benchmark metric names still exists, so a
+    deletion fails here rather than in a traced benchmark run."""
+
+    SPEC = json.loads(
+        (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text()
+    )
+
+    def _named_functions(self, stats=None):
+        for metric in self.SPEC["per_layer"]:
+            parts = metric["name"].split(".")
+            if len(parts) == 3 and (stats is None or parts[2] in stats):
+                yield parts[0], parts[1]
+
+    def test_per_layer_functions_are_public_in_their_layer(self):
+        named = list(self._named_functions())
+        assert named
+        for layer, name in named:
+            module = importlib.import_module(f"clutterlab.{layer}")
+            fn = getattr(module, name, None)
+            assert not name.startswith("_"), f"{layer}.{name}"
+            assert callable(fn) and not inspect.isclass(fn), f"{layer}.{name}"
+            assert fn.__module__ == module.__name__, f"{layer}.{name}"
+
+    def test_cache_metrics_name_cached_functions(self):
+        named = list(self._named_functions(("cache_hits", "cache_misses")))
+        assert named
+        for layer, name in named:
+            module = importlib.import_module(f"clutterlab.{layer}")
+            assert hasattr(getattr(module, name), "cache_info"), f"{layer}.{name}"
 
 
 class TestVerifyTheorems:

@@ -1,16 +1,16 @@
-"""Exact LP/ILP, covering-polyhedron vertices, idealness, bounded MFMC, and
-the packing search that decides most MFMC and integral-closure questions."""
+"""Exact LP, the packing number, covering-polyhedron vertices, idealness,
+bounded MFMC, and the packing search that decides most MFMC and
+integral-closure questions."""
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import strategies
 from clutterlab import (
-    covering_lp,
     covering_number,
     enumerate_Q_vertices,
     graft,
@@ -22,7 +22,6 @@ from clutterlab import (
     packing_lp,
     packs,
     parse_clutter,
-    solve_covering_ilp,
     solve_lp_exact,
     solve_packing_ilp,
     weighted_cover_number,
@@ -121,72 +120,60 @@ class TestSimplex:
         assert res.status == "optimal"
         assert res.value == F(2)
 
-    def test_lower_bounds(self):
-        lp = LinearProgram(
-            objective=(F(1),),
-            rows=((F(1),),),
-            senses=("<=",),
-            rhs=(F(5),),
-            lower_bounds=(F(2),),
-        )
-        res = solve_lp_exact(lp)
-        assert res.status == "optimal"
-        assert res.value == F(2)
-
     def test_fractional_covering_lp_value(self):
-        res = solve_lp_exact(covering_lp(TRIANGLE, (1, 1, 1)))
+        # tau*_1 of the triangle, read off its dual: half of each edge
+        res = solve_lp_exact(packing_lp(TRIANGLE, (1, 1, 1)))
         assert res.status == "optimal"
         assert res.value == F(3, 2)
         assert res.solution == (F(1, 2), F(1, 2), F(1, 2))
 
     def test_lp_duality_on_clutter_programs(self):
+        # the packing LP optimum (simplex) equals the covering LP optimum,
+        # min <w, v> over the vertices v of Q(A) (double description)
         for c in (TRIANGLE, C4, C5, K33):
-            w = tuple(1 + (i % 2) for i in range(c.n))
-            cover = solve_lp_exact(covering_lp(c, w))
-            pack = solve_lp_exact(packing_lp(c, w))
-            assert cover.status == pack.status == "optimal"
-            assert cover.value == pack.value
+            vertices = enumerate_Q_vertices(c).vertices
+            for w in ((1,) * c.n, tuple(1 + (i % 2) for i in range(c.n))):
+                pack = solve_lp_exact(packing_lp(c, w))
+                assert pack.status == "optimal"
+                assert pack.value == min(
+                    sum(wi * vi for wi, vi in zip(w, v)) for v in vertices
+                )
 
 
 class TestIlp:
-    def test_triangle_cover(self):
-        res = solve_covering_ilp(TRIANGLE, (1, 1, 1))
-        assert res.value == 2
-        # deterministic: the floor branch at x1 is explored first
-        assert res.solution == (0, 1, 1)
-
-    def test_matches_weighted_cover(self):
-        assert solve_covering_ilp(K33, (1, 2, 1, 2, 1, 2)).value == (
-            weighted_cover_number(K33, (1, 2, 1, 2, 1, 2))
-        )
-
     def test_packing_triangle(self):
         assert solve_packing_ilp(TRIANGLE, (1, 1, 1)).value == 1
         assert solve_packing_ilp(TRIANGLE, (2, 2, 2)).value == 3
+        # the count runs the search for every k up to 61
+        assert solve_packing_ilp(TRIANGLE, (40, 40, 40)).value == 60
+
+    def test_packing_c5(self):
+        assert solve_packing_ilp(C5, (1,) * 5).value == 2
 
     def test_weight_validation(self):
         with pytest.raises(ValueError):
-            solve_covering_ilp(TRIANGLE, (1, 1))
+            solve_packing_ilp(TRIANGLE, (1, 1))
         with pytest.raises(ValueError):
-            solve_covering_ilp(TRIANGLE, (1, -1, 1))
+            solve_packing_ilp(TRIANGLE, (1, -1, 1))
 
-    @settings(max_examples=50, deadline=None)
-    @given(strategies.clutters(max_n=4, max_q=4))
-    def test_against_oracles(self, c):
-        for w in [(1,) * c.n, (2,) * c.n, tuple(1 + (i % 3) for i in range(c.n))]:
-            assert solve_covering_ilp(c, w).value == oracles.brute_weighted_cover(c, w)
-            assert solve_packing_ilp(c, w).value == oracles.brute_max_packing(c, w)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        strategies.clutters(max_n=5).flatmap(
+            lambda c: st.tuples(
+                st.just(c), st.tuples(*[st.integers(0, 3)] * c.n)
+            )
+        )
+    )
+    @example((make_clutter([], []), ()))
+    @example((TRIANGLE, (0, 0, 0)))
+    def test_against_oracles(self, case):
+        c, w = case
+        assert solve_packing_ilp(c, w).value == oracles.brute_max_packing(c, w)
 
     @settings(max_examples=30, deadline=None)
     @given(strategies.clutters(max_n=4, max_q=4))
     def test_solutions_are_feasible(self, c):
         w = (2,) * c.n
-        cover = solve_covering_ilp(c, w)
-        assert all(x >= 0 for x in cover.solution)
-        assert all(
-            sum(cover.solution[i] for i in e) >= 1 for e in c.edges
-        )
-        assert sum(a * b for a, b in zip(cover.solution, w)) == cover.value
         pack = solve_packing_ilp(c, w)
         assert all(y >= 0 for y in pack.solution)
         for i in range(c.n):
