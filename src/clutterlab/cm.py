@@ -3,13 +3,17 @@
 The independence complex of a clutter has the independent (edge-free)
 vertex sets as faces; its facets are exactly the complements of the minimal
 vertex covers.  Cohen-Macaulayness of the quotient by the edge ideal is
-decided by homology vanishing (Reisner's criterion): for every face F, the
-link of F must have zero reduced homology in every dimension strictly below
-the link's own dimension.  Faces and facets are vertex bitmasks, and the
-link of F is read off the facets containing F, with no minor built.  A link
-whose facets share a vertex is a cone (acyclic) and is skipped; link results
-are memoized for the duration of one check, keyed on the link's facets
-relabelled onto consecutive vertices.
+first certified by vertex decomposition: a pure vertex-decomposable complex
+is shellable, and so Cohen-Macaulay over every field (Provan-Billera).  The
+search for shedding vertices runs on facet bitmasks under a node budget.
+Every complex it does not certify is decided by homology vanishing
+(Reisner's criterion): for every face F, the link of F must have zero
+reduced homology in every dimension strictly below the link's own
+dimension, and the first failing face is the witness.  Faces and facets are
+vertex bitmasks, and the link of F is read off the facets containing F,
+with no minor built.  A link whose facets share a vertex is a cone
+(acyclic) and is skipped.  Both searches memoize for the duration of one
+check, keyed on facets relabelled onto consecutive vertices.
 
 Homology is exact: boundary-matrix ranks via sparse fraction elimination
 over the rationals, or bitmask elimination over GF(2).  The link scan over
@@ -268,24 +272,53 @@ class CmVerdict:
     link_witness: tuple[tuple[str, ...], int, int] | None = None
 
 
-def _relabel(masks) -> tuple[int, ...]:
-    """The masks moved order-preservingly onto vertices 0..m-1, m the size
-    of their union, and sorted: a key shared by links equal up to labels
-    that keep the vertex order."""
-    support = 0
-    for m in masks:
-        support |= m
-    out = []
-    for m in masks:
-        r, j, rest = 0, 0, support
-        while rest:
-            low = rest & -rest
-            if m & low:
-                r |= 1 << j
-            j += 1
-            rest ^= low
-        out.append(r)
-    return tuple(sorted(out))
+_VD_BUDGET = 4096  # complexes the vertex-decomposition search may expand per call
+
+
+def _vertex_decomposable(facets) -> bool:
+    """True when the pure complex with these facet masks is vertex
+    decomposable; False when it is not, or when the search spends its
+    budget first.
+
+    A pure complex is vertex decomposable when it has one facet, or when
+    some shedding vertex v has a vertex-decomposable link {f - v : v in f}
+    and deletion {f : v not in f}.  v sheds when it lies in some facets but
+    not all, and each f - v with v in f lies in a facet without v; the
+    deletion is then pure of the same dimension.  Results are memoized for
+    the call, keyed on the relabelled facets.
+    """
+    memo: dict[tuple[int, ...], bool] = {}
+    budget = _VD_BUDGET
+
+    def decomposable(key: tuple[int, ...]) -> bool:
+        nonlocal budget
+        if len(key) == 1:
+            return True
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        if budget <= 0:
+            return False
+        budget -= 1
+        support = 0
+        for f in key:
+            support |= f
+        result = False
+        while support and not result:
+            v = support & -support
+            support ^= v
+            link = [f ^ v for f in key if f & v]
+            deletion = [f for f in key if not f & v]
+            result = (
+                bool(deletion)
+                and all(any(g & h == g for h in deletion) for g in link)
+                and decomposable(covering._relabel(link))
+                and decomposable(covering._relabel(deletion))
+            )
+        memo[key] = result
+        return result
+
+    return decomposable(covering._relabel(facets))
 
 
 def _link_failure(link: tuple[int, ...], fld: str) -> tuple[int, int] | None:
@@ -309,13 +342,17 @@ def _link_failure(link: tuple[int, ...], fld: str) -> tuple[int, int] | None:
 def is_cohen_macaulay(
     c: Clutter, field: str = "Q", max_vertices: int = 16
 ) -> CmVerdict:
-    """Homology-vanishing criterion on every link of the independence complex.
+    """Vertex-decomposition certificate, then the homology-vanishing
+    criterion on every link of the independence complex.
 
     Pre-filter: unequal minimal-cover sizes refute Cohen-Macaulayness
-    immediately (the complex would not be pure).  Then faces are scanned in
-    (size, lex) order; the link of F has the facets f - F of the facets f
-    containing F.  When every link facet shares a vertex, the link is a
-    cone and is skipped as acyclic.
+    immediately (the complex would not be pure).  A vertex-decomposable
+    complex is Cohen-Macaulay over every field and gets a positive verdict
+    with no further work.  Otherwise (not decomposable, or the search
+    budget is spent) faces are scanned in (size, lex) order; the link of F
+    has the facets f - F of the facets f containing F.  When every link
+    facet shares a vertex, the link is a cone and is skipped as acyclic.
+    The scan decides every negative verdict and supplies its witness.
     """
     fld = _normalize_field(field)
     if c.n > max_vertices:
@@ -335,6 +372,8 @@ def is_cohen_macaulay(
         )
     everything = (1 << c.n) - 1
     facets = [everything & ~_mask(cover) for cover in covers]
+    if _vertex_decomposable(facets):
+        return CmVerdict(cohen_macaulay=True, field=fld)
     faces = sorted(_faces(facets), key=lambda f: (f.bit_count(), _indices(f)))
     failures: dict[tuple[int, ...], tuple[int, int] | None] = {}
     for face in faces:
@@ -344,7 +383,7 @@ def is_cohen_macaulay(
             apex &= f
         if apex:
             continue  # a vertex in every link facet cones the link: acyclic
-        key = _relabel(link)
+        key = covering._relabel(link)
         if key not in failures:
             failures[key] = _link_failure(key, fld)
         failure = failures[key]

@@ -50,6 +50,26 @@ def _edge_masks(c: Clutter) -> list[int]:
     return [sum(1 << i for i in e) for e in c.edges]
 
 
+def _relabel(masks) -> tuple[int, ...]:
+    """The masks moved order-preservingly onto vertices 0..m-1, m the size
+    of their union, and sorted: a key shared by edge or facet families that
+    are equal up to labels that keep the vertex order."""
+    support = 0
+    for m in masks:
+        support |= m
+    out = []
+    for m in masks:
+        r, j, rest = 0, 0, support
+        while rest:
+            low = rest & -rest
+            if m & low:
+                r |= 1 << j
+            j += 1
+            rest ^= low
+        out.append(r)
+    return tuple(sorted(out))
+
+
 def _cover_number(masks) -> int:
     """Least number of vertices meeting every edge mask, by branch and bound."""
     if not masks:
@@ -242,34 +262,46 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
     failing assignment, with keep < delete < contract.
 
     The search walks the assignment tree vertex by vertex on edge bitmasks
-    over the original vertex indices, memoizing on (edge masks, vertex),
-    which is equivalent to enumerating all 3^n assignments because
-    deletions and contractions of distinct vertices commute.  Only the
-    witness minor is built as a Clutter.
+    over the original vertex indices, which is equivalent to enumerating all
+    3^n assignments because deletions and contractions of distinct vertices
+    commute; vertices on no edge are passed over.  Edges that are pairwise
+    disjoint end the branch at once: every minor of a matching is a
+    matching, so Konig.  The answer for (edges, vertex i) depends only on
+    the edges up to an order-preserving relabelling of their support and on
+    how many support vertices lie below i (those are frozen as kept), so
+    the per-call memo is keyed on exactly that pair and is shared by minors
+    that are isomorphic in that sense.  Only the witness minor is built as
+    a Clutter.
     """
     if c.n > max_vertices:
         raise InstanceTooLargeError(
             f"packing property limited to {max_vertices} vertices (got {c.n})"
         )
     n = c.n
-    memo: dict[tuple[frozenset[int], int], bool] = {}
+    memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
     def fails(edges: frozenset[int], i: int) -> bool:
-        key = (edges, i)
+        support = size = 0
+        for e in edges:
+            support |= e
+            size += e.bit_count()
+        if size == support.bit_count():
+            return False  # pairwise disjoint: a matching, and so is every minor
+        ahead = support >> i << i
+        key = (_relabel(edges), (support ^ ahead).bit_count())
         hit = memo.get(key)
         if hit is not None:
             return hit
-        bit = 1 << i
-        if i == n:
+        if not ahead:
             result = _cover_number(edges) != _matching_number(edges)
-        elif not any(e & bit for e in edges):
-            result = fails(edges, i + 1)
         else:
-            result = fails(edges, i + 1) or fails(_delete(edges, bit), i + 1)  # keep, delete
+            bit = ahead & -ahead
+            nxt = bit.bit_length()
+            result = fails(edges, nxt) or fails(_delete(edges, bit), nxt)  # keep, delete
             if not result:
                 contracted = _contract(edges, bit)
                 # None: every completion of this prefix is the unit ideal
-                result = contracted is not None and fails(contracted, i + 1)
+                result = contracted is not None and fails(contracted, nxt)
         memo[key] = result
         return result
 

@@ -489,13 +489,18 @@ def brute_packing_witness(c):
     assignment in lex order over {keep < delete < contract}^n whose minor
     fails Konig, unit ideals skipped; None when every minor is Konig."""
     edge_sets = _edge_sets(c)
+    seen = set()  # minors already found Konig: many assignments repeat one
     for assignment in product((0, 1, 2), repeat=c.n):
         deleted = frozenset(i for i, a in enumerate(assignment) if a == 1)
         contracted = frozenset(i for i, a in enumerate(assignment) if a == 2)
         edges = _minor_edges(edge_sets, deleted, contracted)
         if edges is None:
             continue
+        key = frozenset(edges)
+        if key in seen:
+            continue
         alpha, beta = _alpha_on_edges(edges), _beta_on_edges(edges)
+        seen.add(key)
         if alpha != beta:
             return (
                 tuple(c.vertices[i] for i in sorted(deleted)),

@@ -54,6 +54,30 @@ def uniform_clutters(draw, max_n=5, size=2, max_q=6):
     return _build(n, picked)
 
 
+@st.composite
+def pure_complex_clutters(draw, max_n=6):
+    """The clutter of minimal non-faces of a random pure complex: its
+    independence complex is that complex, so unmixed clutters that are and
+    are not Cohen-Macaulay both come up often."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    k = draw(st.integers(min_value=1, max_value=n - 1))
+    facets = draw(
+        st.lists(
+            st.sampled_from([frozenset(s) for s in combinations(range(n), k)]),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        )
+    )
+    non_faces = [
+        frozenset(s)
+        for size in range(1, n + 1)
+        for s in combinations(range(n), size)
+        if not any(frozenset(s) <= f for f in facets)
+    ]
+    return _build(n, non_faces)
+
+
 def random_clutter(rng: random.Random, max_n=5, max_q=5):
     """Seeded generator for reproducible randomized sweeps."""
     n = rng.randint(1, max_n)

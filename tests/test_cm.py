@@ -4,9 +4,11 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
+from clutterlab import cm
 from clutterlab import (
     CorpusSpec,
     InstanceTooLargeError,
@@ -16,6 +18,7 @@ from clutterlab import (
     independence_complex,
     is_cohen_macaulay,
     make_clutter,
+    minimal_vertex_covers,
     parse_clutter,
     reduced_homology,
 )
@@ -46,6 +49,29 @@ RP2_FACETS = (
     (2, 3, 5),
 )
 RP2 = SimplicialComplex(tuple(f"v{i}" for i in range(6)), RP2_FACETS)
+
+# grafts of every 2-uniform class on at most 4 vertices and of the 3-uniform
+# edge (4 to 9 vertices), small enough for the dense Reisner oracle
+SMALL_GRAFTS = [
+    graft(base)
+    for n, d in ((4, 2), (3, 3))
+    for base in enumerate_clutters(CorpusSpec(n, uniform_size=d, isomorph_reject=True))
+]
+
+
+def facet_masks(c):
+    """Independence-complex facets as bitmasks, or None when the minimal
+    covers have two sizes (the complex is not pure)."""
+    covers = minimal_vertex_covers(c)
+    if len({len(cover) for cover in covers}) > 1:
+        return None
+    everything = (1 << c.n) - 1
+    return [everything & ~sum(1 << i for i in cover) for cover in covers]
+
+
+def full_verdict(c, field):
+    v = is_cohen_macaulay(c, field=field)
+    return v.cohen_macaulay, v.unmixed_witness, v.link_witness
 
 
 class TestSimplicialComplex:
@@ -244,6 +270,8 @@ class TestCohenMacaulay:
         ]
         c = make_clutter(labels, non_faces)
         assert independence_complex(c).facets == RP2_FACETS
+        # not CM over GF(2), so not vertex decomposable: the scan decides both
+        assert not cm._vertex_decomposable(facet_masks(c))
         assert is_cohen_macaulay(c, field="Q").cohen_macaulay
         verdict = is_cohen_macaulay(c, field="F2")
         assert not verdict.cohen_macaulay
@@ -268,3 +296,42 @@ class TestCohenMacaulay:
         assert len(bases) == 4
         for base in bases:
             assert is_cohen_macaulay(graft(base), field="Q").cohen_macaulay
+
+
+class TestVertexDecomposition:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            strategies.clutters(max_n=6, max_q=6),
+            strategies.pure_complex_clutters(max_n=6),
+        )
+    )
+    def test_certificate_implies_cm_over_both_fields(self, c):
+        facets = facet_masks(c)
+        if facets is not None and cm._vertex_decomposable(facets):
+            for field in ("Q", "F2"):
+                assert oracles.brute_cm_verdict(c, field) == (True, None, None)
+
+    @pytest.mark.parametrize("g", SMALL_GRAFTS, ids=lambda g: f"{g.n}v{len(g.edges)}e")
+    def test_small_grafts_are_certified_and_cm(self, g):
+        assert cm._vertex_decomposable(facet_masks(g))
+        for field in ("Q", "F2"):
+            assert oracles.brute_cm_verdict(g, field) == (True, None, None)
+
+    def test_spent_budget_falls_back_to_reisner(self, monkeypatch):
+        # C4 and K33 are pure but not CM, and the 8-vertex clutter has a
+        # witness past the empty face; the rest are CM
+        cases = [TRIANGLE, C4, C5, K33, graft(TRIANGLE), graft(C4)] + SMALL_GRAFTS[:4]
+        cases.append(
+            parse_clutter(
+                "v: x1 x2 x3 x4 x5 x6 x7 x8\n"
+                "e: x1 x4\ne: x1 x5\ne: x1 x6\ne: x1 x7\ne: x2 x4\ne: x2 x6\n"
+                "e: x3 x4\ne: x3 x5\ne: x3 x6\ne: x3 x7\ne: x4 x8\ne: x6 x8\n"
+            )
+        )
+        fields = ("Q", "F2")
+        expected = [full_verdict(c, field) for c in cases for field in fields]
+        assert sum(not verdict[0] for verdict in expected) == 6
+        monkeypatch.setattr(cm, "_VD_BUDGET", 1)
+        assert not cm._vertex_decomposable(facet_masks(graft(C4)))
+        assert [full_verdict(c, field) for c in cases for field in fields] == expected

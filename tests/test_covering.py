@@ -6,8 +6,12 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from clutterlab import covering
 from clutterlab import (
+    CorpusSpec,
     covering_number,
+    enumerate_clutters,
+    graft,
     has_konig,
     has_packing_property,
     make_clutter,
@@ -28,6 +32,15 @@ K33 = parse_clutter(
     "v: a1 a2 a3 b1 b2 b3\n"
     + "".join(f"e: a{i} b{j}\n" for i in range(1, 4) for j in range(1, 4))
 )
+
+
+# grafts of every 2- and 3-uniform class on at most 4 vertices (4 to 12
+# vertices), packing and not
+SMALL_GRAFTS = [
+    graft(base)
+    for d in (2, 3)
+    for base in enumerate_clutters(CorpusSpec(4, uniform_size=d, isomorph_reject=True))
+]
 
 
 def labeled_covers(c):
@@ -173,20 +186,50 @@ class TestPackingProperty:
         w = has_packing_property(c).witness
         assert (w.deleted, w.contracted, w.alpha0, w.beta1) == ((), (), 3, 2)
 
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.one_of(
-            strategies.clutters(max_n=5, max_q=5),
-            strategies.uniform_clutters(max_n=5, size=2, max_q=7),
-        )
-    )
-    def test_witness_is_the_brute_lex_first(self, c):
+    @staticmethod
+    def assert_brute_lex_first(c):
         verdict = has_packing_property(c)
         expected = oracles.brute_packing_witness(c)
         assert verdict.holds == (expected is None)
         if expected is not None:
             w = verdict.witness
             assert (w.deleted, w.contracted, w.alpha0, w.beta1) == expected
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.one_of(
+            strategies.clutters(max_n=5, max_q=5),
+            strategies.clutters(max_n=7, max_q=7),
+            strategies.uniform_clutters(max_n=5, size=2, max_q=7),
+        )
+    )
+    def test_witness_is_the_brute_lex_first(self, c):
+        self.assert_brute_lex_first(c)
+
+    @pytest.mark.parametrize("g", SMALL_GRAFTS, ids=lambda g: f"{g.n}v{len(g.edges)}e")
+    def test_graft_witness_is_the_brute_lex_first(self, g):
+        self.assert_brute_lex_first(g)
+
+    def test_perfect_matching_is_pruned_at_the_root(self, monkeypatch):
+        # pairwise disjoint edges hold at once: no memo key is ever formed
+        def no_key(masks):
+            raise AssertionError("the walk went past the root")
+
+        monkeypatch.setattr(covering, "_relabel", no_key)
+        c = parse_clutter("v: a b c d e f\ne: a b\ne: c d\ne: e f\n")
+        assert has_packing_property(c).holds
+
+    def test_disjoint_pair_beside_a_triangle_keeps_its_witness(self):
+        # two of the edges are disjoint but not all, so the walk goes on and
+        # fails at the root: alpha0 = 2 + 2 against beta1 = 2 + 1
+        c = parse_clutter(
+            "v: a b c d x y z\ne: a b\ne: c d\ne: x y\ne: x z\ne: y z\n"
+        )
+        w = has_packing_property(c).witness
+        assert (w.deleted, w.contracted, w.alpha0, w.beta1) == ((), (), 4, 3)
+        assert (w.deleted, w.contracted, w.alpha0, w.beta1) == (
+            oracles.brute_packing_witness(c)
+        )
 
 
 class TestGuards:
