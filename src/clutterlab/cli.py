@@ -3,7 +3,7 @@
 Subcommands:
   check      evaluate properties of one clutter read from a file (or stdin)
   transform  apply a clutter operation and print the resulting clutter
-  scan       run the candidate scan over an enumerated corpus
+  scan       run the counterexample scan over an enumerated corpus
   verify     run the theorem-implication suite over an enumerated corpus
 
 Exit codes:
@@ -101,7 +101,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--max-w", type=int, default=2, metavar="W")
         p.add_argument("--max-power", type=int, default=2, metavar="K")
 
-    scan = sub.add_parser("scan", help="scan for candidate counterexamples")
+    scan = sub.add_parser("scan", help="scan for packing clutters without MFMC")
     corpus_flags(scan)
     scan.add_argument("--out", metavar="PATH",
                       help="write the report here instead of stdout")
@@ -192,7 +192,7 @@ def _run_scan(args) -> int:
     blob = harness.emit_report(result.reports, format=args.format)
     summary = (
         f"scanned {len(result.reports)} packing-property instances; "
-        f"{len(result.candidates)} candidates; "
+        f"{len(result.counterexamples)} counterexamples; "
         f"hash {harness.report_hash(result.reports)}\n"
     )
     if args.out:
@@ -202,8 +202,8 @@ def _run_scan(args) -> int:
     else:
         sys.stdout.write(blob.decode())
         sys.stderr.write(summary)
-    for text in result.candidates:
-        sys.stderr.write("CANDIDATE:\n" + text)
+    for text in result.counterexamples:
+        sys.stderr.write("COUNTEREXAMPLE:\n" + text)
     return EXIT_OK
 
 

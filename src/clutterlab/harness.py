@@ -2,20 +2,20 @@
 
 The harness enumerates every small clutter within given bounds in a fixed
 deterministic order, evaluates the full property battery on each (covering
-numbers, packing property, idealness, bounded max-flow min-cut, exact and
-bounded normality, bounded torsion-freeness, Cohen-Macaulayness), and
-asserts the implications that are theorems: a single violation is raised as
-an error because it can only mean an implementation bug.
+numbers, packing property, idealness, bounded max-flow min-cut, exact
+normality, bounded torsion-freeness, Cohen-Macaulayness), and asserts the
+implications that are theorems at the bounds used: a single violation is
+raised as an error because it can only mean an implementation bug.
+
+Exact max-flow min-cut is decided by a theorem rather than by a bounded
+scan: a clutter has MFMC exactly when Q(A) is integral and R[It] is normal
+(Gitler-Valencia-Villarreal 2007; Gitler-Reyes-Villarreal 2009), and both
+`ideal` and `normal` are exact verdicts.
 
 `scan_conforti_cornuejols` filters the corpus to packing-property instances
-and looks for any that fail a bounded max-flow min-cut or torsion-freeness
-check; such instances are CANDIDATE counterexamples to the packing-implies-
-MFMC conjecture.  A bounded MFMC failure carries an exact weight witness
-(an integer covering/packing gap at a concrete w), so a surviving candidate
-would be a genuine refutation, not a bound artifact.  Each failing instance
-is re-checked at raised bounds and stays a candidate only when MFMC or NTF
-still fails there; the escalation also records the exact Hilbert-basis
-normality verdict, but that verdict does not decide candidacy.
+and reports the counterexamples to the packing-implies-MFMC conjecture.  A
+packing clutter is ideal (Lehman), so it fails MFMC exactly when it is not
+normal; its Hilbert-basis witness is in its report.
 
 Reports serialize deterministically (JSON schema version 1, CSV, or text);
 the comparison hash excludes the timing fields.
@@ -351,7 +351,7 @@ _IMPLICATIONS = (
     "packing-implies-ideal",
     "mfmc-implies-konig",
     "mfmc-implies-packing",
-    "power-coherence",
+    "exact-mfmc-implies-bounded",
     "mfmc-parall-konig",
     "parall-normal",
     "ntf-parallelization",
@@ -385,9 +385,12 @@ def verify_theorems(
 ) -> VerificationSummary:
     """Run the full implication suite over the corpus.
 
-    Every implication below is a theorem (within the checked bounds), so a
-    single failure raises TheoremViolationError: the suite doubles as the
-    deepest integration test of the modules against one another.
+    Each implication is a theorem at the bounds used, with its reason given
+    where it is checked, except `whisker-normal`, which is empirical.  The
+    checks that need exact max-flow min-cut rest on ``ideal and normal``.
+    A single failure raises TheoremViolationError: the suite doubles as the
+    deepest integration test of the modules against one another.  A derived
+    clutter beyond a size guard is counted as skipped, not checked.
     """
     bounds = bounds or VerifyBounds()
     summary = VerificationSummary()
@@ -409,38 +412,43 @@ def verify_theorems(
         mfmc = report.verdict("mfmc").value
         normal = report.verdict("normal").value
         ntf = report.verdict("ntf").value
+        # MFMC holds exactly when Q(A) is integral and R[It] is normal
+        exact_mfmc = ideal and normal
 
-        # packing implies an integral covering polyhedron (Lehman)
+        # Lehman: a packing clutter has an integral covering polyhedron
         check("packing-implies-ideal", (not pp) or ideal, c, {"pp": pp, "ideal": ideal})
-        # bounded max-flow min-cut implies Konig (the w = all-ones box entry)
-        # and the packing property
+        # the all-ones entry is in the box when W >= 1, and there it is Konig
         check("mfmc-implies-konig", (not mfmc) or konig, c, {"mfmc": mfmc})
-        check("mfmc-implies-packing", (not mfmc) or pp, c, {"mfmc": mfmc})
-        # torsion-freeness up to k is equivalent to bounded normality plus
-        # integrality, instance by instance on this corpus
-        normal_bounded = rees.is_normal_bounded(c, bounds.max_power)
+        # MFMC is minor-closed and gives Konig at the all-ones weight
+        check("mfmc-implies-packing", (not exact_mfmc) or pp, c, {"pp": pp})
+        # exact MFMC: tau_w = nu_w for every w and I^(i) = I^i for every i
         check(
-            "power-coherence",
-            ntf == (normal_bounded.certified and ideal),
+            "exact-mfmc-implies-bounded",
+            (not exact_mfmc) or (mfmc and ntf),
             c,
-            {
-                "ntf": ntf,
-                "normal_bounded": normal_bounded.certified,
-                "ideal": ideal,
-            },
+            {"mfmc": mfmc, "ntf": ntf},
         )
 
         if bounds.include_parallelization:
             for w in product(range(bounds.parallel_weight + 1), repeat=c.n):
                 cp = parallelization(c, w)
-                if mfmc:
+                if exact_mfmc:
+                    # tau(c^w) = tau_w and nu(c^w) = nu_w; and MFMC is closed
+                    # under parallelization, so c^w is NTF
                     check(
                         "mfmc-parall-konig",
                         covering.has_konig(cp),
                         c,
                         {"w": list(w)},
                     )
+                    check(
+                        "ntf-parallelization",
+                        rees.is_ntf_bounded(cp, bounds.max_power).certified,
+                        c,
+                        {"w": list(w)},
+                    )
                 if normal:
+                    # the paper: normality is closed under parallelization
                     if cp.n > bounds.hilbert_max_vertices:
                         skip("parall-normal")
                     else:
@@ -454,13 +462,6 @@ def verify_theorems(
                             c,
                             {"w": list(w)},
                         )
-                if ntf:
-                    check(
-                        "ntf-parallelization",
-                        rees.is_ntf_bounded(cp, bounds.max_power).certified,
-                        c,
-                        {"w": list(w)},
-                    )
 
         if bounds.include_whiskers:
             for v in c.vertices:
@@ -468,6 +469,8 @@ def verify_theorems(
                 for length in bounds.whisker_lengths:
                     cw = adjoin_whisker_edge(c, v, length)
                     if konig and deletion_konig:
+                        # with e the whisker edge on v:
+                        # tau(c+e) = 1+tau(c\v) <= 1+nu(c\v) <= nu(c+e)
                         check(
                             "whisker-konig",
                             covering.has_konig(cw),
@@ -475,6 +478,8 @@ def verify_theorems(
                             {"vertex": v, "length": length},
                         )
                     if pp:
+                        # a minor of c+e is a minor of c, or one plus a whisker
+                        # edge, which keeps Konig by the argument above
                         check(
                             "whisker-packing",
                             covering.has_packing_property(
@@ -484,6 +489,7 @@ def verify_theorems(
                             {"vertex": v, "length": length},
                         )
                     if normal:
+                        # empirical: no proof of this is recorded here
                         if cw.n > bounds.hilbert_max_vertices:
                             skip("whisker-normal")
                         else:
@@ -502,6 +508,7 @@ def verify_theorems(
             d = is_uniform(c)
             if d is not None and c.n * d <= bounds.cm_max_vertices:
                 gc = graft(c)
+                # the paper: a graft is Cohen-Macaulay and keeps packing
                 check(
                     "graft-cm",
                     cm_mod.is_cohen_macaulay(
@@ -511,14 +518,20 @@ def verify_theorems(
                     {"graft": serialize_clutter(gc)},
                 )
                 if pp:
-                    check(
-                        "graft-pp",
-                        covering.has_packing_property(
-                            gc, max_vertices=bounds.packing_max_vertices
-                        ).holds,
-                        c,
-                        {"graft": serialize_clutter(gc)},
-                    )
+                    if gc.n > bounds.packing_max_vertices:
+                        skip("graft-pp")
+                    else:
+                        check(
+                            "graft-pp",
+                            covering.has_packing_property(
+                                gc, max_vertices=bounds.packing_max_vertices
+                            ).holds,
+                            c,
+                            {"graft": serialize_clutter(gc)},
+                        )
+                # with m_i the least weight on x_i's whisker, tau_u(gc) =
+                # sum(min(u_i, m_i)) + tau_{(u-m)+}(c), and packing the
+                # whiskers first reaches it, so c's box carries to gc's
                 if polyhedra.mfmc_bounded(c, bounds.graft_weight).certified:
                     check(
                         "graft-mfmc",
@@ -533,19 +546,14 @@ def verify_theorems(
 class ScanResult:
     """Conforti-Cornuejols scan over the packing-property instances.
 
-    ``candidates`` lists instances that have the packing property and fail
-    a bounded MFMC or NTF check, both at the scan bounds and again at the
-    raised bounds (max_weight + 2, max_power + 2).  ``escalations`` holds
-    the raised-bound reports of every instance re-checked; each also
-    carries the exact Hilbert-basis normality verdict, which is recorded
-    but does not decide candidacy.  A candidate whose MFMC witness is an
-    exact integer covering/packing gap at a concrete weight vector is a
-    definite MFMC failure, not a bound artifact.
+    ``counterexamples`` lists the instances that have the packing property
+    but not MFMC.  A packing clutter is ideal (Lehman), so these are exactly
+    the ones that are not normal; each report's ``normal`` verdict carries
+    the Hilbert-basis witness.
     """
 
     reports: tuple[PropertyReport, ...]
-    candidates: tuple[str, ...]
-    escalations: tuple[PropertyReport, ...]
+    counterexamples: tuple[str, ...]
     max_weight: int
     max_power: int
 
@@ -554,10 +562,8 @@ def scan_conforti_cornuejols(
     spec: CorpusSpec, max_weight: int = 2, max_power: int = 2
 ) -> ScanResult:
     bounds = VerifyBounds(max_weight=max_weight, max_power=max_power)
-    raised = VerifyBounds(max_weight=max_weight + 2, max_power=max_power + 2)
     reports = []
-    candidates = []
-    escalations = []
+    counterexamples = []
     for c in enumerate_clutters(spec):
         if not covering.has_packing_property(
             c, max_vertices=bounds.packing_max_vertices
@@ -567,20 +573,11 @@ def scan_conforti_cornuejols(
             c, bounds, props=("packing", "mfmc", "normal", "ntf")
         )
         reports.append(report)
-        if report.verdict("mfmc").value and report.verdict("ntf").value:
-            continue
-        escalation = check_properties(
-            c, raised, props=("mfmc", "normal", "ntf")
-        )
-        escalations.append(escalation)
-        if not (
-            escalation.verdict("mfmc").value and escalation.verdict("ntf").value
-        ):
-            candidates.append(serialize_clutter(c))
+        if not report.verdict("normal").value:
+            counterexamples.append(serialize_clutter(c))
     return ScanResult(
         reports=tuple(reports),
-        candidates=tuple(candidates),
-        escalations=tuple(escalations),
+        counterexamples=tuple(counterexamples),
         max_weight=max_weight,
         max_power=max_power,
     )

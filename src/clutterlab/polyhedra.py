@@ -396,6 +396,8 @@ def mfmc_bounded(
     search finds tau_w edges.  Otherwise `solve_packing_ilp` counts nu_w for
     that w alone, the witness's ``packing_value``, which is below tau_w.
     """
+    if max_weight < 1:
+        raise ValueError("the weight bound must be positive")
     boxes = (max_weight + 1) ** c.n
     if boxes > max_boxes:
         raise InstanceTooLargeError(

@@ -281,10 +281,10 @@ def test_criterion_10_counterexample_scan_smoke():
     failures = []
     first = scan_conforti_cornuejols(CorpusSpec(4, uniform_size=2))
     second = scan_conforti_cornuejols(CorpusSpec(4, uniform_size=2))
-    if first.candidates:
-        failures.append(f"{len(first.candidates)} candidates in run 1")
-    if second.candidates:
-        failures.append(f"{len(second.candidates)} candidates in run 2")
+    if first.counterexamples:
+        failures.append(f"{len(first.counterexamples)} counterexamples in run 1")
+    if second.counterexamples:
+        failures.append(f"{len(second.counterexamples)} counterexamples in run 2")
     if report_hash(first.reports) != report_hash(second.reports):
         failures.append("report hash differs between runs")
     if len(first.reports) != 40:

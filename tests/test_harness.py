@@ -35,6 +35,7 @@ from clutterlab import (
     verify_theorems,
 )
 from clutterlab.cli import main
+from clutterlab.harness import _IMPLICATIONS
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 TRIANGLE_TEXT = "v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n"
@@ -228,6 +229,40 @@ class TestVerifyTheorems:
         assert len(negatives) == 1
         assert negatives[0].vertex_count == 3
 
+    def test_every_counted_name_is_listed(self):
+        # every implication is reached on this corpus, graft-pp as a skip
+        summary = verify_theorems(CorpusSpec(3), VerifyBounds(packing_max_vertices=8))
+        counted = set(summary.checked) | set(summary.skipped)
+        assert counted == set(_IMPLICATIONS)
+
+    def test_graft_beyond_packing_guard_is_skipped(self):
+        # the graft of {x1x2x3} has 9 vertices: within the CM guard, beyond
+        # the packing guard of 8
+        summary = verify_theorems(
+            CorpusSpec(3, uniform_size=3), VerifyBounds(packing_max_vertices=8)
+        )
+        assert summary.skipped["graft-pp"] == 1
+        assert "graft-pp" not in summary.checked
+        assert summary.checked["graft-cm"] == 1
+
+    def test_five_vertex_graph_classes_pass(self):
+        # C5 is NTF at k = 2 but not ideal, so it has no exact MFMC
+        summary = verify_theorems(
+            CorpusSpec(5, uniform_size=2, isomorph_reject=True),
+            VerifyBounds(
+                include_graft=False,
+                include_parallelization=False,
+                include_whiskers=False,
+            ),
+        )
+        assert len(summary.reports) == 33
+        c5 = [
+            r
+            for r in summary.reports
+            if r.verdict("ntf").value and not r.verdict("ideal").value
+        ]
+        assert [(r.vertex_count, r.edge_count) for r in c5] == [(5, 5)]
+
     def test_violation_error_carries_context(self):
         err = TheoremViolationError(
             "packing-implies-ideal", TRIANGLE_TEXT, {"pp": True, "ideal": False}
@@ -259,8 +294,7 @@ class TestScan:
     def test_small_graph_corpus(self):
         result = scan_conforti_cornuejols(CorpusSpec(3, uniform_size=2))
         assert len(result.reports) == 6  # the triangle fails the PP filter
-        assert result.candidates == ()
-        assert result.escalations == ()
+        assert result.counterexamples == ()
         texts = [r.clutter for r in result.reports]
         assert TRIANGLE_TEXT not in texts
         assert "v: x1 x2\ne: x1 x2\n" in texts
@@ -404,7 +438,30 @@ class TestCli:
         assert code == 0
         reports = read_report(out.read_bytes())
         assert len(reports) == 6
-        assert "0 candidates" in capsys.readouterr().out
+        assert "0 counterexamples" in capsys.readouterr().out
+
+    def test_scan_reports_counterexamples(self, monkeypatch, capsys):
+        from clutterlab import harness
+
+        # a packing clutter that is not normal would be reported; stand the
+        # triangle in for one
+        real = harness.check_properties
+
+        def not_normal(c, bounds=None, props=None, field="Q"):
+            report = real(c, bounds, props, field)
+            verdicts = tuple(
+                PropertyVerdict("normal", False) if v.name == "normal" else v
+                for v in report.verdicts
+            )
+            return PropertyReport(
+                report.clutter, report.vertex_count, report.edge_count, verdicts
+            )
+
+        monkeypatch.setattr(harness, "check_properties", not_normal)
+        assert main(["scan", "--n", "2", "--d", "2"]) == 0
+        err = capsys.readouterr().err
+        assert "1 counterexamples" in err
+        assert "COUNTEREXAMPLE:\nv: x1 x2\ne: x1 x2\n" in err
 
     def test_scan_too_large(self):
         assert main(["scan", "--n", "9", "--d", "2"]) == 4
@@ -413,3 +470,7 @@ class TestCli:
         assert main(["verify", "--n", "2", "--d", "2"]) == 0
         out = capsys.readouterr().out
         assert "0 violations" in out
+
+    def test_verify_zero_weight_bound(self, capsys):
+        assert main(["verify", "--n", "3", "--d", "2", "--max-w", "0"]) == 1
+        assert "weight bound" in capsys.readouterr().err

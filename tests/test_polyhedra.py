@@ -293,6 +293,11 @@ class TestMfmc:
         with pytest.raises(InstanceTooLargeError):
             mfmc_bounded(K33, max_weight=3, max_boxes=100)
 
+    def test_weight_bound_must_be_positive(self):
+        # the box {0}^n would certify any clutter, the triangle included
+        with pytest.raises(ValueError):
+            mfmc_bounded(TRIANGLE, max_weight=0)
+
     @settings(max_examples=25, deadline=None)
     @given(strategies.uniform_clutters(max_n=4, size=2, max_q=5))
     def test_agrees_with_definition_at_w1(self, c):

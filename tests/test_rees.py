@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from clutterlab import (
+    CorpusSpec,
     InstanceTooLargeError,
     adjoin_whisker_edge,
     cone_contains,
+    enumerate_clutters,
     hilbert_basis,
     integral_closure_membership,
+    is_ideal_clutter,
     is_normal,
     is_normal_bounded,
     is_ntf_bounded,
@@ -21,6 +24,7 @@ from clutterlab import (
     parse_clutter,
     power_membership,
     rees_cone,
+    serialize_clutter,
     symbolic_power_membership,
 )
 from clutterlab.rees import _hilbert_basis
@@ -252,6 +256,23 @@ class TestNormality:
             assert (res.certified, res.bound, res.witness) == oracles.brute_power_scan(
                 c, bound, member
             )
+
+    @pytest.mark.parametrize(
+        "spec",
+        [CorpusSpec(4), CorpusSpec(5, uniform_size=2, isomorph_reject=True)],
+        ids=["antichains-4", "graph-classes-5"],
+    )
+    def test_bounded_closure_implications(self, spec):
+        # one-way theorems at k = 2.  Symbolic powers of a square-free
+        # monomial ideal are integrally closed, so I^i = I^(i) forces
+        # I^i = closure(I^i); integral Q(A) gives I^(i) = closure(I^i)
+        for c in enumerate_clutters(spec):
+            ntf = is_ntf_bounded(c, 2).certified
+            normal_k = is_normal_bounded(c, 2).certified
+            text = serialize_clutter(c)
+            assert not ntf or normal_k, text
+            assert not (is_ideal_clutter(c).ideal and normal_k) or ntf, text
+            assert not is_normal(c).normal or normal_k, text
 
     @settings(max_examples=20, deadline=None)
     @given(strategies.uniform_clutters(max_n=4, size=2, max_q=4))
