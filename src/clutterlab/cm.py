@@ -15,19 +15,19 @@ with no minor built.  A link whose facets share a vertex is a cone
 (acyclic) and is skipped.  Both searches memoize for the duration of one
 check, keyed on facets relabelled onto consecutive vertices.
 
-Homology is exact: boundary-matrix ranks via sparse fraction elimination
-over the rationals, or bitmask elimination over GF(2).  The link scan over
-the rationals ranks over GF(2) first and over Q only where GF(2) finds
-homology below the top dimension.
+Homology is exact: boundary-matrix ranks by fraction-free integer
+elimination over the rationals, or bitmask elimination over GF(2).  The link
+scan over the rationals ranks over GF(2) first and over Q only where GF(2)
+finds homology below the top dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import covering
+from ._linalg import independent_rows
 from .core import Clutter, InstanceTooLargeError
 
 
@@ -122,42 +122,6 @@ class HomologyProfile:
         return 0
 
 
-def _rank_rational(rows: list[dict[int, object]]) -> int:
-    """Rank of a sparse matrix given as dicts col -> nonzero entry."""
-    pivots: dict[int, dict[int, object]] = {}
-    rank = 0
-    for row in rows:
-        r = dict(row)
-        while r:
-            col = next((col for col in r if col in pivots), None)
-            if col is None:
-                break
-            f = r.pop(col)
-            for pc, pv in pivots[col].items():
-                if pc == col:
-                    continue
-                nv = r.get(pc, 0) - f * pv
-                if nv:
-                    r[pc] = nv
-                else:
-                    r.pop(pc, None)
-        if not r:
-            continue
-        col = next((col for col, v in r.items() if v == 1 or v == -1), None)
-        if col is None:
-            col = next(iter(r))
-        lead = r[col]
-        if lead == 1:
-            norm = r
-        elif lead == -1:
-            norm = {cc: -vv for cc, vv in r.items()}
-        else:
-            norm = {cc: Fraction(vv) / lead for cc, vv in r.items()}
-        pivots[col] = norm
-        rank += 1
-    return rank
-
-
 def _rank_gf2(masks: list[int]) -> int:
     pivots: dict[int, int] = {}
     rank = 0
@@ -226,7 +190,7 @@ def _betti(facets, fld: str, max_faces: int = 1 << 22) -> tuple[int, ...]:
         else:
             rows = []
             for f in by_dim[k]:
-                row: dict[int, object] = {}
+                row: dict[int, int] = {}
                 sign, rest = 1, f
                 while rest:
                     low = rest & -rest
@@ -234,7 +198,7 @@ def _betti(facets, fld: str, max_faces: int = 1 << 22) -> tuple[int, ...]:
                     sign = -sign
                     rest ^= low
                 rows.append(row)
-            ranks[k] = _rank_rational(rows)
+            ranks[k] = len(independent_rows(rows))
     return tuple(
         len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(-1, dim + 1)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import product
+from operator import index
 
 
 class ClutterError(Exception):
@@ -214,8 +215,7 @@ def parse_clutter(text: str) -> Clutter:
     labels: list[str] | None = None
     label_index: dict[str, int] = {}
     edges: list[frozenset[int]] = []
-    edge_labels: list[tuple[str, ...]] = []
-    seen_edges: dict[frozenset[int], int] = {}
+    seen_edges: set[frozenset[int]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.rstrip("\n")
         stripped = line.strip()
@@ -253,9 +253,8 @@ def parse_clutter(text: str) -> Clutter:
             fs = frozenset(members)
             if fs in seen_edges:
                 raise DuplicateEdgeError(tuple(sorted(labels[i] for i in fs)))
-            seen_edges[fs] = lineno
+            seen_edges.add(fs)
             edges.append(fs)
-            edge_labels.append(tuple(sorted(labels[i] for i in fs)))
         else:
             raise ClutterSyntaxError(
                 f"expected 'v:' or 'e:' directive, got {stripped.split()[0]!r}",
@@ -339,8 +338,12 @@ def duplicate(c: Clutter, vertex: str) -> Clutter:
 
 
 def _vertex_vector(c: Clutter, values, what: str = "weights") -> tuple[int, ...]:
-    """A weight or exponent vector: one non-negative int per vertex."""
-    vec = tuple(int(x) for x in values)
+    """A weight or exponent vector: one non-negative int per vertex; a float
+    or a string is refused, not truncated or parsed."""
+    try:
+        vec = tuple(map(index, values))
+    except TypeError as exc:
+        raise ValueError(f"{what} must be a sequence of integers ({exc})") from None
     if len(vec) != c.n:
         raise ValueError(f"expected {c.n} {what}, got {len(vec)}")
     if any(x < 0 for x in vec):

@@ -662,19 +662,32 @@ def read_report(data: bytes) -> list[PropertyReport]:
         raise ValueError("report must have exactly the keys 'version' and 'reports'")
     if payload["version"] != 1:
         raise ValueError(f"unsupported report version: {payload['version']!r}")
+    if not isinstance(payload["reports"], list):
+        raise ValueError("'reports' must be a list")
     reports = []
     for item in payload["reports"]:
+        if not isinstance(item, dict):
+            raise ValueError("each report must be an object")
         unknown = set(item) - _REPORT_KEYS
         if unknown:
             raise ValueError(f"unknown report fields: {sorted(unknown)}")
         missing = {"clutter", "n", "q", "verdicts"} - set(item)
         if missing:
             raise ValueError(f"missing report fields: {sorted(missing)}")
+        if not isinstance(item["verdicts"], list):
+            raise ValueError("'verdicts' must be a list")
+        if not isinstance(item.get("timings", {}), dict):
+            raise ValueError("'timings' must be an object")
         verdicts = []
         for v in item["verdicts"]:
+            if not isinstance(v, dict):
+                raise ValueError("each verdict must be an object")
             unknown = set(v) - _VERDICT_KEYS
             if unknown:
                 raise ValueError(f"unknown verdict fields: {sorted(unknown)}")
+            missing = {"name", "value"} - set(v)
+            if missing:
+                raise ValueError(f"missing verdict fields: {sorted(missing)}")
             verdicts.append(
                 PropertyVerdict(
                     name=v["name"],

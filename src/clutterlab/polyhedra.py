@@ -22,8 +22,9 @@ when nu_w < k <= tau_w leaves its answer open.
 Q(A) = {x >= 0 : x A >= 1} is the covering polyhedron; the clutter is ideal
 when Q(A) has integral vertices only.  `enumerate_Q_vertices` lists its
 vertices by the double description method (Motzkin et al. 1953; Fukuda and
-Prodon 1996) on the homogenised cone, in integer arithmetic, and
-`is_ideal_clutter` checks the integral ones against the minimal covers.
+Prodon 1996) on the homogenised cone, one `_linalg.dd_step` per edge in
+integer arithmetic, and `is_ideal_clutter` checks the integral ones against
+the minimal covers.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 from itertools import product
 
 from . import covering
-from ._linalg import primitive
+from ._linalg import dd_step
 from .core import Clutter, InstanceTooLargeError, _vertex_vector
 
 
@@ -265,48 +266,16 @@ class QVertexSet:
 def _covering_cone_rays(n: int, edges) -> list[tuple[int, ...]]:
     """Extreme rays of {(x, t) >= 0 : sum(x_i, i in e) - t >= 0 for each e}.
 
-    Double description method: start from the n + 1 unit rays of the
-    orthant and add the edge constraints one at a time.  Each ray is a
-    primitive integer vector carried with the bitmask of the constraints it
-    makes tight (bit j < n + 1 for the coordinate j, bit n + 1 + k for edge
-    k).  A new constraint keeps the rays that satisfy it and replaces each
-    adjacent pair of one strictly satisfying and one violating ray by the
-    positive combination on its hyperplane.  The adjacency test is
-    combinatorial: the pair's common tight set must have at least n - 1
-    members (rank d - 2 in dimension d = n + 1) and lie in no third ray's
-    tight set.  The cone is pointed and full-dimensional, so the rays kept
-    are exactly the extreme rays at every step.
+    Start from the n + 1 unit rays of the orthant and cut by the edge
+    constraints one at a time with `_linalg.dd_step`.  Bit j < n + 1 of a
+    ray's tight mask stands for the coordinate j, bit n + 1 + k for edge k.
     """
     d = n + 1
     rays = [tuple(int(i == j) for i in range(d)) for j in range(d)]
     tight = [((1 << d) - 1) ^ (1 << j) for j in range(d)]
     for k, e in enumerate(edges, start=d):
-        bit = 1 << k
         slacks = [sum(r[i] for i in e) - r[n] for r in rays]
-        next_rays = []
-        next_tight = []
-        for r, z, s in zip(rays, tight, slacks):
-            if s >= 0:
-                next_rays.append(r)
-                next_tight.append(z | bit if s == 0 else z)
-        negative = [j for j, s in enumerate(slacks) if s < 0]
-        for p, sp in enumerate(slacks):
-            if sp <= 0:
-                continue
-            for m in negative:
-                common = tight[p] & tight[m]
-                if common.bit_count() < n - 1 or any(
-                    common & z == common
-                    for j, z in enumerate(tight)
-                    if j != p and j != m
-                ):
-                    continue
-                sm = -slacks[m]
-                next_rays.append(
-                    primitive([sp * a + sm * b for a, b in zip(rays[m], rays[p])])
-                )
-                next_tight.append(common | bit)
-        rays, tight = next_rays, next_tight
+        rays, tight = dd_step(rays, tight, slacks, 1 << k, d)
     return rays
 
 

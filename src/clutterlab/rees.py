@@ -10,12 +10,12 @@ The Hilbert basis is computed exactly, in integer arithmetic only: a placing
 triangulation of the cone into simplicial subcones on generator rays,
 lattice-point enumeration of each half-open fundamental parallelepiped (via
 the Hermite-diagonal residue system), and a grading-ordered irreducibility
-sieve.  The initial simplex is picked with an integer echelon; its facet
-normals are the columns of one adjugate, and each parallelepiped is mapped
-to its residues through the adjugate of its rays, both from the one
-fraction-free elimination `_linalg._det_adjugate`.  The final hyperplane
-description produced by the incremental hull doubles as the cone-membership
-test used by the sieve.
+sieve.  The initial simplex comes from `_linalg.independent_rows`.  Its
+facet normals are the columns of one adjugate, and each parallelepiped is
+mapped to its residues through the adjugate of its rays.  The normals are
+the extreme rays of the dual cone, so each further generator g cuts them by
+<h, g> <= 0 with `_linalg.dd_step`; they double as the cone-membership test
+used by the sieve.
 
 Bounded surrogates compare ordinary powers I^i against integral closures
 (`is_normal_bounded`) and symbolic powers (`is_ntf_bounded`) by enumerating
@@ -38,7 +38,9 @@ from functools import lru_cache
 from itertools import product
 
 from . import covering
-from ._linalg import _det_adjugate, hermite_diagonal, primitive
+from ._linalg import (
+    _det_adjugate, dd_step, hermite_diagonal, independent_rows, primitive,
+)
 from .core import Clutter, InstanceTooLargeError, _vertex_vector
 from .polyhedra import LinearProgram, packing_lp, solve_lp_exact
 
@@ -117,35 +119,24 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
         # sub-cone of the orthant spanned by unit vectors: they are the basis
         return HilbertBasis(dim=D, elements=tuple(sorted(gens, key=_degree_lex)))
 
-    # initial simplex: lexicographically first maximal independent generators,
-    # found by reducing each one against an integer echelon of those chosen
-    chosen: list[int] = []
-    echelon: list[tuple[int, tuple[int, ...]]] = []  # (pivot column, row)
-    for idx, g in enumerate(gens):
-        v = g
-        for col, row in echelon:
-            if v[col]:
-                v = primitive([row[col] * x - v[col] * y for x, y in zip(v, row)])
-        if any(v):
-            echelon.append((next(k for k, x in enumerate(v) if x), v))
-            chosen.append(idx)
-            if len(chosen) == D:
-                break
+    # initial simplex: lexicographically first maximal independent generators
+    chosen = independent_rows(
+        [{k: x for k, x in enumerate(g) if x} for g in gens]
+    )[:D]
     if len(chosen) < D:
         raise ValueError("cone must be full-dimensional or spanned by unit vectors")
     rest = [i for i in range(len(gens)) if i not in chosen]
-    simplices: list[tuple[int, ...]] = [tuple(sorted(chosen))]
+    simplices: list[tuple[int, ...]] = [tuple(chosen)]
 
-    # outward facet normals of the initial simplicial cone, with the set of
-    # processed generators each hyperplane vanishes on: column j of the
+    # outward facet normals of the initial simplicial cone, each with the
+    # bitmask of processed generators it vanishes on: column j of the
     # adjugate is orthogonal to every chosen ray but the j-th, and has dot
     # product det with that one
     det, adj = _det_adjugate([gens[i] for i in chosen])
     sign = -1 if det > 0 else 1
-    hull: list[list] = []  # [normal tuple, frozenset of zero-dot generator indices]
-    for j in range(D):
-        normal = primitive([sign * row[j] for row in adj])
-        hull.append([normal, frozenset(chosen[k] for k in range(D) if k != j)])
+    normals = [primitive([sign * row[j] for row in adj]) for j in range(D)]
+    everything = sum(1 << i for i in chosen)
+    zeros = [everything ^ (1 << i) for i in chosen]
 
     dot_cache: dict[tuple[tuple[int, ...], int], int] = {}
 
@@ -158,21 +149,15 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
         return v
 
     for idx in rest:
-        vals = [dot(h[0], idx) for h in hull]
-        if all(v <= 0 for v in vals):
-            for h, v in zip(hull, vals):
-                if v == 0:
-                    h[1] = h[1] | {idx}
-            continue
+        vals = [dot(h, idx) for h in normals]
 
         # extend the triangulation over the visible part of the boundary: a
         # facet of a simplex lies on hull hyperplane h exactly when one of
         # its rays has a nonzero (negative) dot with h and the rest vanish
         new_simplices: dict[tuple[int, ...], None] = {}
-        for h, v in zip(hull, vals):
+        for hn, v in zip(normals, vals):
             if v <= 0:
                 continue
-            hn = h[0]
             for sigma in simplices:
                 nonzero = [r for r in sigma if dot(hn, r) != 0]
                 if len(nonzero) == 1:
@@ -182,30 +167,9 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
                     new_simplices[tuple(sorted(face))] = None
         simplices.extend(new_simplices)
 
-        # double-description update of the hull hyperplanes
-        zero = [h for h, v in zip(hull, vals) if v == 0]
-        neg = [(h, v) for h, v in zip(hull, vals) if v < 0]
-        pos = [(h, v) for h, v in zip(hull, vals) if v > 0]
-        new_hyps: list[list] = []
-        for hp, vp in pos:
-            for hn, vn in neg:
-                z = hp[1] & hn[1]
-                if len(z) < D - 2:
-                    continue
-                blocked = False
-                for other in hull:
-                    if other is hp or other is hn:
-                        continue
-                    if z <= other[1]:
-                        blocked = True
-                        break
-                if blocked:
-                    continue
-                normal = primitive(
-                    tuple(vp * b - vn * a for a, b in zip(hp[0], hn[0]))
-                )
-                new_hyps.append([normal, z | {idx}])
-        hull = [[h[0], h[1] | {idx}] for h in zero] + [h for h, _ in neg] + new_hyps
+        # the normals are the extreme rays of the dual cone, which adding
+        # the generator cuts by the half-space <h, g> <= 0
+        normals, zeros = dd_step(normals, zeros, [-v for v in vals], 1 << idx, D)
 
     # lattice points of each half-open fundamental parallelepiped
     candidates: set[tuple[int, ...]] = set(gens)
@@ -231,14 +195,13 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
                 candidates.add(point)
 
     # grading sieve: accept exactly the irreducible lattice points
-    hyperplanes = [h[0] for h in hull]
     accepted: list[tuple[int, ...]] = []
     for z in sorted(candidates, key=_degree_lex):
         reducible = False
         for b in accepted:
             diff = tuple(x - y for x, y in zip(z, b))
             if all(d >= 0 for d in diff) and all(
-                sum(hj * dj for hj, dj in zip(h, diff)) <= 0 for h in hyperplanes
+                sum(hj * dj for hj, dj in zip(h, diff)) <= 0 for h in normals
             ):
                 reducible = True
                 break
@@ -294,7 +257,8 @@ def integral_closure_membership(c: Clutter, a, i) -> bool:
 
 
 def symbolic_power_membership(c: Clutter, a, i) -> bool:
-    """x^a in the i-th symbolic power: every minimal cover C has sum(a|C) >= i.
+    """x^a in the i-th symbolic power: every minimal cover C has sum(a|C) >= i,
+    that is, the cover number tau_a is at least i.
 
     The symbolic power of a square-free monomial ideal is the intersection
     of the i-th powers of its minimal primes, one per minimal vertex cover.
@@ -303,12 +267,7 @@ def symbolic_power_membership(c: Clutter, a, i) -> bool:
     power = int(i)
     if power < 0:
         raise ValueError("power must be non-negative")
-    if power == 0:
-        return True
-    return all(
-        sum(vec[v] for v in cover) >= power
-        for cover in covering.minimal_vertex_covers(c)
-    )
+    return covering.weighted_cover_number(c, vec) >= power
 
 
 @dataclass(frozen=True, slots=True)

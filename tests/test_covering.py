@@ -112,6 +112,18 @@ class TestWeightedCover:
     def test_zero_weight_is_free(self):
         assert weighted_cover_number(TRIANGLE, (0, 1, 1)) == 1
 
+    def test_non_integer_weights_refused(self):
+        # int() would truncate these to weights that pass silently
+        for call in (
+            lambda: covering.packs(TRIANGLE, (1.9, 1, 1), 1),
+            lambda: weighted_cover_number(TRIANGLE, (0.5,) * 3),
+            lambda: parallelization(TRIANGLE, (1.5, 1, 1)),
+            lambda: covering.packs(TRIANGLE, ("1", 1, 1), 1),
+        ):
+            with pytest.raises(ValueError, match="sequence of integers"):
+                call()
+        assert covering.packs(TRIANGLE, (True, 1, 0), 1)
+
     @settings(max_examples=50, deadline=None)
     @given(strategies.clutters(max_n=4, max_q=4))
     def test_equals_alpha_of_parallelization(self, c):

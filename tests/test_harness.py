@@ -344,6 +344,25 @@ class TestReports:
         with pytest.raises(ValueError):
             read_report(b"not json")
 
+
+    def test_reader_rejects_malformed_shapes(self):
+        report = check_properties(TRIANGLE, props=("konig",))
+        good = json.loads(emit_report([report]).decode())
+        edits = [
+            lambda p: p.update(reports={}),
+            lambda p: p["reports"].append(1),
+            lambda p: p["reports"][0].update(verdicts=5),
+            lambda p: p["reports"][0].update(timings=[]),
+            lambda p: p["reports"][0]["verdicts"].append(1),
+            lambda p: p["reports"][0]["verdicts"][0].pop("name"),
+            lambda p: p["reports"][0]["verdicts"][0].pop("value"),
+        ]
+        for edit in edits:
+            payload = json.loads(json.dumps(good))
+            edit(payload)
+            with pytest.raises(ValueError):
+                read_report(json.dumps(payload).encode())
+
     def test_hash_ignores_timings(self):
         report = check_properties(TRIANGLE, props=("konig",))
         retimed = PropertyReport(

@@ -1,4 +1,5 @@
-"""The fraction-free determinant and adjugate routine."""
+"""The shared integer kernels: the double-description cut, fraction-free
+row independence, and the determinant and adjugate routine."""
 
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from clutterlab._linalg import _det_adjugate
+from clutterlab._linalg import _det_adjugate, dd_step, independent_rows
 
 square_int_matrices = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.lists(
@@ -38,3 +39,42 @@ def test_row_swaps_and_singular_pins():
     assert _det_adjugate([[0, 1], [1, 0]]) == (-1, [[0, -1], [-1, 0]])
     assert _det_adjugate([[0, 2, 1], [1, 0, 0], [0, 0, 3]])[0] == -6
     assert _det_adjugate([[1, 2], [2, 4]]) == (0, None)
+
+
+int_matrices = st.integers(min_value=0, max_value=7).flatmap(
+    lambda cols: st.lists(
+        st.lists(st.integers(min_value=-3, max_value=3), min_size=cols, max_size=cols),
+        max_size=8,
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(int_matrices)
+def test_independent_rows_match_dense_rank(m):
+    # entries in -3..3 make pivots other than +-1 occur
+    sparse = [{j: x for j, x in enumerate(row) if x} for row in m]
+    expected = [
+        i
+        for i in range(len(m))
+        if oracles._rank_dense_q(m[: i + 1]) > oracles._rank_dense_q(m[:i])
+    ]
+    assert independent_rows(sparse) == expected
+
+
+def test_independent_rows_pins():
+    assert independent_rows([]) == []
+    assert independent_rows([{}, {0: 2}, {0: -4}, {1: 3}, {0: 1, 1: 1}]) == [1, 3]
+    assert independent_rows([{0: 2, 1: 3}, {0: 3, 1: 5}, {0: 1}]) == [0, 1]
+
+
+def test_dd_step_cuts_the_orthant():
+    # the orthant of R^3 cut by x + y - z >= 0; bit j stands for x_j >= 0,
+    # bit 3 for the new constraint
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    zeros = [0b110, 0b101, 0b011]
+    values = [x + y - z for x, y, z in rays]
+    assert dd_step(rays, zeros, values, 1 << 3, 3) == (
+        [(1, 0, 0), (0, 1, 0), (1, 0, 1), (0, 1, 1)],
+        [0b110, 0b101, 0b1010, 0b1001],
+    )
