@@ -4,8 +4,9 @@ A clutter is a finite antichain of vertex subsets (its edges).  This
 package computes, with exact rational arithmetic throughout:
 
 * covers, matchings, the Konig and packing properties (`covering`);
-* the set-covering polyhedron, idealness, the exact LP, and bounded
-  max-flow min-cut certification (`polyhedra`);
+* the set-covering polyhedron, idealness, the fractional cover number
+  read off its vertices, and bounded max-flow min-cut certification
+  (`polyhedra`);
 * Rees-cone Hilbert bases, normality, and bounded torsion-freeness of
   edge ideal powers (`rees`);
 * independence complexes, simplicial homology, and Cohen-Macaulayness
@@ -50,14 +51,12 @@ from .polyhedra import (
     enumerate_Q_vertices,
     is_ideal_clutter,
     mfmc_bounded,
-    packing_lp,
     solve_lp_exact,
     solve_packing_ilp,
 )
 from .rees import (
     NormalityVerdict,
     PowerCertificate,
-    cone_contains,
     hilbert_basis,
     integral_closure_membership,
     is_normal,
@@ -129,12 +128,10 @@ __all__ = [
     "enumerate_Q_vertices",
     "is_ideal_clutter",
     "mfmc_bounded",
-    "packing_lp",
     "solve_lp_exact",
     "solve_packing_ilp",
     "NormalityVerdict",
     "PowerCertificate",
-    "cone_contains",
     "hilbert_basis",
     "integral_closure_membership",
     "is_normal",

@@ -652,6 +652,10 @@ _REPORT_KEYS = {"clutter", "n", "q", "verdicts", "timings"}
 _VERDICT_KEYS = {"name", "value", "bound", "witness"}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def read_report(data: bytes) -> list[PropertyReport]:
     """Strict reader for the versioned JSON schema; unknown fields rejected."""
     try:
@@ -674,6 +678,10 @@ def read_report(data: bytes) -> list[PropertyReport]:
         missing = {"clutter", "n", "q", "verdicts"} - set(item)
         if missing:
             raise ValueError(f"missing report fields: {sorted(missing)}")
+        if not isinstance(item["clutter"], str):
+            raise ValueError("'clutter' must be a string")
+        if not (_is_int(item["n"]) and _is_int(item["q"])):
+            raise ValueError("'n' and 'q' must be integers")
         if not isinstance(item["verdicts"], list):
             raise ValueError("'verdicts' must be a list")
         if not isinstance(item.get("timings", {}), dict):
@@ -688,6 +696,10 @@ def read_report(data: bytes) -> list[PropertyReport]:
             missing = {"name", "value"} - set(v)
             if missing:
                 raise ValueError(f"missing verdict fields: {sorted(missing)}")
+            if not isinstance(v["name"], str) or not isinstance(v["value"], bool):
+                raise ValueError("a verdict's 'name' must be a string, 'value' a bool")
+            if "bound" in v and not _is_int(v["bound"]):
+                raise ValueError("a verdict's 'bound' must be an integer")
             verdicts.append(
                 PropertyVerdict(
                     name=v["name"],

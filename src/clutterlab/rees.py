@@ -17,23 +17,25 @@ the extreme rays of the dual cone, so each further generator g cuts them by
 <h, g> <= 0 with `_linalg.dd_step`; they double as the cone-membership test
 used by the sieve.
 
+With capacities a, x^a lies in I^i when the packing number nu_a >= i, in
+the integral closure when the fractional cover number tau*_a >= i, and in the
+symbolic power when the cover number tau_a >= i.  The last two are the
+minimum of <a, v> over the vertices v of the covering polyhedron Q(A), all of
+them for tau*_a and the integral ones (the minimal covers) for tau_a.
+
 Bounded surrogates compare ordinary powers I^i against integral closures
 (`is_normal_bounded`) and symbolic powers (`is_ntf_bounded`) by enumerating
 the candidate exponent box {0..i}^n, which contains every minimal generator
-of either larger ideal because all edge vectors are 0/1.  Each point found to
-be a minimal generator of the larger ideal is checked against I^i.
-
-With capacities a, x^a lies in I^i when the packing number nu_a >= i, in
-the integral closure when the fractional optimum tau*_a >= i, and in the
-symbolic power when the cover number tau_a >= i.  As nu_a <= tau*_a <= tau_a,
-the closure test runs the exact packing LP only when nu_a < i <= tau_a.  The
-symbolic scan decides minimality from one pass of cover sums per point.
+of either larger ideal because all edge vectors are 0/1.  Both share one
+scan over those vertices, as integer rows (x, t): one pass of slacks
+<a, x> - i t per point decides membership and minimality, and each minimal
+generator is checked against I^i by the packing search.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -42,7 +44,7 @@ from ._linalg import (
     _det_adjugate, dd_step, hermite_diagonal, independent_rows, primitive,
 )
 from .core import Clutter, InstanceTooLargeError, _vertex_vector
-from .polyhedra import LinearProgram, packing_lp, solve_lp_exact
+from .polyhedra import _q_vertex_rays, solve_lp_exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,24 +212,6 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
     return HilbertBasis(dim=D, elements=tuple(accepted))
 
 
-def cone_contains(cone: ReesCone, vector) -> bool:
-    """Exact membership of a rational vector in the real cone (LP feasibility)."""
-    v = tuple(Fraction(x) for x in vector)
-    if len(v) != cone.dim:
-        raise ValueError(f"expected a vector of length {cone.dim}, got {len(v)}")
-    if not cone.generators:
-        return not any(v)
-    lp = LinearProgram(
-        objective=tuple(Fraction(0) for _ in cone.generators),
-        rows=tuple(
-            tuple(Fraction(g[i]) for g in cone.generators) for i in range(cone.dim)
-        ),
-        senses=tuple("=" for _ in range(cone.dim)),
-        rhs=v,
-    )
-    return solve_lp_exact(lp).status == "optimal"
-
-
 def power_membership(c: Clutter, a, i) -> bool:
     """x^a in I^i: some multiset of i edge vectors is componentwise <= a."""
     vec = _vertex_vector(c, a, "exponents")
@@ -241,19 +225,14 @@ def integral_closure_membership(c: Clutter, a, i) -> bool:
     """x^a in the integral closure of I^i.
 
     The Newton-polyhedron test: a dominates a point of i times the edge
-    polytope, i.e. the fractional packing optimum tau*_a is at least i.  As
-    nu_a <= tau*_a <= tau_a, it is False when tau_a < i and True when the
-    packing search finds i edges; only in between does the exact LP run.
+    polytope, that is, the fractional cover number tau*_a, the least <a, v>
+    over the vertices v of Q(A), is at least i.
     """
     vec = _vertex_vector(c, a, "exponents")
     power = int(i)
     if power < 0:
         raise ValueError("power must be non-negative")
-    if covering.weighted_cover_number(c, vec) < power:
-        return False
-    if covering.packs(c, vec, power):
-        return True
-    return solve_lp_exact(packing_lp(c, vec)).value >= power
+    return solve_lp_exact(c, vec) >= power
 
 
 def symbolic_power_membership(c: Clutter, a, i) -> bool:
@@ -313,9 +292,19 @@ class PowerCertificate:
     witness: tuple[tuple[int, ...], int] | None = None
 
 
-def _bounded_power_scan(c: Clutter, bound: int, minimal, max_boxes: int):
-    """Check every a in {0..i}^n with ``minimal(a, i)`` against I^i, for
-    i = 1..bound in order; the first failure is the lex-first witness."""
+def _bounded_power_scan(c: Clutter, bound: int, rows, max_boxes: int):
+    """Check the minimal generators of J_i = {a : <a, x> >= i t for every row
+    (x, t)} in the box {0..i}^n against I^i, for i = 1..bound in order; the
+    first failure is the lex-first witness.
+
+    Each row is an integer pair (x, t), t > 0, with x given as a multiset of
+    vertex indices.  With slack s = <a, x> - i t, a is in J_i iff every
+    s >= 0, and a - e_j is in J_i iff every row has x_j <= s.  So a member is
+    minimal iff each j with a_j > 0 has some row with x_j > s.  Box points
+    are valid capacities, so the packing search decides I^i directly.  The
+    minimality filter only saves searches: I^i is closed upwards, so the
+    lex-first member outside it is minimal anyway.
+    """
     if bound < 1:
         raise ValueError("the power bound must be positive")
     if (bound + 1) ** c.n > max_boxes:
@@ -323,10 +312,31 @@ def _bounded_power_scan(c: Clutter, bound: int, minimal, max_boxes: int):
             f"{(bound + 1) ** c.n} candidate exponent vectors exceed "
             f"the limit of {max_boxes}"
         )
+    # above[s]: bitmask of the j with x_j > s, for s below the largest x_j
+    scan = []
+    for x, t in rows:
+        mult = Counter(x)
+        above = [
+            sum(1 << j for j, m in mult.items() if m > s)
+            for s in range(max(mult.values(), default=0))
+        ]
+        scan.append((x, t, len(above), above))
     for i in range(1, bound + 1):
         for a in product(range(i + 1), repeat=c.n):
-            if minimal(a, i) and not power_membership(c, a, i):
-                return PowerCertificate(certified=False, bound=bound, witness=(a, i))
+            tight = 0
+            for x, t, top, above in scan:
+                s = sum(map(a.__getitem__, x)) - i * t
+                if s < 0:
+                    break
+                if s < top:
+                    tight |= above[s]
+            else:
+                if all(tight >> j & 1 for j, aj in enumerate(a) if aj) and (
+                    covering._packing(c, a, i) is None
+                ):
+                    return PowerCertificate(
+                        certified=False, bound=bound, witness=(a, i)
+                    )
     return PowerCertificate(certified=True, bound=bound)
 
 
@@ -336,18 +346,16 @@ def is_normal_bounded(
     """I^i equals its integral closure for all i <= max_power.
 
     Enumerates the candidate box {0..i}^n (minimal closure generators have
-    entries <= i because edge vectors are 0/1), keeps the minimal members,
-    and checks each against the ordinary power.
+    entries <= i because edge vectors are 0/1), keeps the minimal members of
+    the closure, and checks each against the ordinary power.  The rows are
+    the vertices of Q(A), as the integer rays (x, t) of `_q_vertex_rays`.
     """
-
-    def minimal(a, i):
-        return integral_closure_membership(c, a, i) and not any(
-            a[j]
-            and integral_closure_membership(c, a[:j] + (a[j] - 1,) + a[j + 1 :], i)
-            for j in range(c.n)
-        )
-
-    return _bounded_power_scan(c, int(max_power), minimal, max_boxes)
+    n = c.n
+    rows = [
+        (tuple(j for j in range(n) for _ in range(r[j])), r[n])
+        for r in _q_vertex_rays(n, c.edges)
+    ]
+    return _bounded_power_scan(c, int(max_power), rows, max_boxes)
 
 
 def is_ntf_bounded(
@@ -355,28 +363,13 @@ def is_ntf_bounded(
 ) -> PowerCertificate:
     """I^i equals the i-th symbolic power for all i <= max_power.
 
-    One pass over the minimal covers decides whether a is a minimal generator
-    of the symbolic power: with cover sums s_C = sum(a|C), a is a member iff
-    every s_C >= i, and a - e_j is one iff every cover holding j has
-    s_C >= i + 1.  So a member is minimal iff each j with a_j > 0 lies in a
-    cover with s_C = i.
+    The same scan as `is_normal_bounded` over the integral vertices of Q(A)
+    only, the minimal covers C as rows (C, 1): a is in the symbolic power iff
+    every cover sum is at least i, and a member is minimal iff each j with
+    a_j > 0 lies in a cover whose sum is exactly i.
     """
-    covers = [
-        (cover, sum(1 << v for v in cover))
-        for cover in covering.minimal_vertex_covers(c)
-    ]
-
-    def minimal(a, i):
-        tight = 0
-        for cover, mask in covers:
-            s = sum(map(a.__getitem__, cover))
-            if s < i:
-                return False
-            if s == i:
-                tight |= mask
-        return all(tight >> j & 1 for j, x in enumerate(a) if x)
-
-    return _bounded_power_scan(c, int(max_power), minimal, max_boxes)
+    rows = [(cover, 1) for cover in covering.minimal_vertex_covers(c)]
+    return _bounded_power_scan(c, int(max_power), rows, max_boxes)
 
 
 def monomial_string(c: Clutter, a, rees_degree: int = 0) -> str:

@@ -3,7 +3,7 @@
 Everything here is written from the definitions, with no shared code paths
 into the package beyond plain data access (vertex labels and edge index
 tuples).  Deliberately naive: exhaustive subset scans, dense matrices,
-vertex enumeration instead of simplex.  Only usable on tiny instances.
+basis enumeration for polyhedra.  Only usable on tiny instances.
 """
 
 from fractions import Fraction
@@ -318,18 +318,39 @@ def brute_closure_membership(c, exponents, power):
     return brute_packing_lp_value(c, exponents) >= power
 
 
-def brute_hilbert_basis(cone, contains, box):
-    """Irreducible lattice points of the cone inside [0, box]^dim.
+def brute_rees_cone_membership(c):
+    """Membership predicate for the real Rees cone of c, from the vertices
+    of Q(A) by basis enumeration (`brute_Q_vertices`).
 
-    `contains` decides exact cone membership (the package's LP route; the
-    construction being cross-checked never calls it).  Any lattice point of
-    the cone that splits as a sum of two nonzero cone lattice points splits
-    inside the box, because the cone lies in the nonnegative orthant.
+    (a, b) is in the cone spanned by the (e_k, 0) and the (chi_e, 1) iff
+    a >= 0, b >= 0 and <a, v> >= b for every vertex v of Q(A): the edge
+    vectors plus the orthant form the blocker of Q(A) (Fulkerson 1971).
+    """
+    vertices = brute_Q_vertices(c)
+
+    def contains(point):
+        *a, b = point
+        return (
+            min(point) >= 0
+            and all(sum(x * y for x, y in zip(a, v)) >= b for v in vertices)
+        )
+
+    return contains
+
+
+def brute_hilbert_basis(dim, contains, box):
+    """Irreducible lattice points of a cone inside [0, box]^dim.
+
+    `contains(point)` decides exact cone membership, for a Rees cone
+    `brute_rees_cone_membership`; the construction being cross-checked never
+    calls it.  Any lattice point of the cone that splits as a sum of two
+    nonzero cone lattice points splits inside the box, because the cone lies
+    in the nonnegative orthant.
     """
     points = [
         p
-        for p in product(range(box + 1), repeat=cone.dim)
-        if any(p) and contains(cone, p)
+        for p in product(range(box + 1), repeat=dim)
+        if any(p) and contains(p)
     ]
     point_set = set(points)
     basis = []

@@ -197,6 +197,11 @@ class TestBenchmarkMetricNames:
             assert callable(fn) and not inspect.isclass(fn), f"{layer}.{name}"
             assert fn.__module__ == module.__name__, f"{layer}.{name}"
 
+    def test_package_exports_resolve(self):
+        package = importlib.import_module("clutterlab")
+        for name in package.__all__:
+            assert hasattr(package, name), name
+
     def test_cache_metrics_name_cached_functions(self):
         named = list(self._named_functions(("cache_hits", "cache_misses")))
         assert named
@@ -356,6 +361,16 @@ class TestReports:
             lambda p: p["reports"][0]["verdicts"].append(1),
             lambda p: p["reports"][0]["verdicts"][0].pop("name"),
             lambda p: p["reports"][0]["verdicts"][0].pop("value"),
+            lambda p: (
+                p["reports"][0].update(clutter=7, n="three", q=None),
+                p["reports"][0]["verdicts"][0].update(name=["x"], value="yes"),
+            ),
+            lambda p: p["reports"][0].update(clutter=7),
+            lambda p: p["reports"][0].update(q=None),
+            lambda p: p["reports"][0]["verdicts"][0].update(name=["x"]),
+            lambda p: p["reports"][0].update(n=True),
+            lambda p: p["reports"][0]["verdicts"][0].update(value=1),
+            lambda p: p["reports"][0]["verdicts"][0].update(bound="2"),
         ]
         for edit in edits:
             payload = json.loads(json.dumps(good))

@@ -1,6 +1,6 @@
-"""Exact LP, the packing number, covering-polyhedron vertices, idealness,
-bounded MFMC, and the packing search that decides most MFMC and
-integral-closure questions."""
+"""The fractional cover number, the packing number, covering-polyhedron
+vertices, idealness, bounded MFMC, and the packing search that decides most
+MFMC questions."""
 
 from fractions import Fraction
 
@@ -19,14 +19,12 @@ from clutterlab import (
     make_clutter,
     matching_number,
     mfmc_bounded,
-    packing_lp,
     packs,
     parse_clutter,
     solve_lp_exact,
     solve_packing_ilp,
     weighted_cover_number,
 )
-from clutterlab.polyhedra import LinearProgram
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 C4 = parse_clutter("v: x1 x2 x3 x4\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x1 x4\n")
@@ -50,94 +48,26 @@ def F(a, b=1):
     return Fraction(a, b)
 
 
-class TestSimplex:
-    def test_basic_minimum(self):
-        # min x + y s.t. x + 2y >= 4, 3x + y >= 3  ->  (2/5, 9/5), value 11/5
-        lp = LinearProgram(
-            objective=(F(1), F(1)),
-            rows=((F(1), F(2)), (F(3), F(1))),
-            senses=(">=", ">="),
-            rhs=(F(4), F(3)),
-        )
-        res = solve_lp_exact(lp)
-        assert res.status == "optimal"
-        assert res.value == F(11, 5)
-        assert res.solution == (F(2, 5), F(9, 5))
-
-    def test_maximization(self):
-        # max 3x + 2y s.t. x + y <= 4, x <= 2 -> (2, 2), value 10
-        lp = LinearProgram(
-            objective=(F(3), F(2)),
-            rows=((F(1), F(1)), (F(1), F(0))),
-            senses=("<=", "<="),
-            rhs=(F(4), F(2)),
-            maximize=True,
-        )
-        res = solve_lp_exact(lp)
-        assert res.status == "optimal"
-        assert res.value == F(10)
-        assert res.solution == (F(2), F(2))
-
-    def test_infeasible(self):
-        lp = LinearProgram(
-            objective=(F(1),),
-            rows=((F(1),), (F(1),)),
-            senses=("<=", ">="),
-            rhs=(F(1), F(2)),
-        )
-        assert solve_lp_exact(lp).status == "infeasible"
-
-    def test_unbounded(self):
-        lp = LinearProgram(
-            objective=(F(1),),
-            rows=((F(1),),),
-            senses=(">=", ),
-            rhs=(F(0),),
-            maximize=True,
-        )
-        assert solve_lp_exact(lp).status == "unbounded"
-
-    def test_equality_rows(self):
-        # x + y = 3, x - y = 1 -> (2, 1)
-        lp = LinearProgram(
-            objective=(F(0), F(0)),
-            rows=((F(1), F(1)), (F(1), F(-1))),
-            senses=("=", "="),
-            rhs=(F(3), F(1)),
-        )
-        res = solve_lp_exact(lp)
-        assert res.status == "optimal"
-        assert res.solution == (F(2), F(1))
-
-    def test_redundant_equalities(self):
-        lp = LinearProgram(
-            objective=(F(1), F(1)),
-            rows=((F(1), F(1)), (F(2), F(2))),
-            senses=("=", "="),
-            rhs=(F(2), F(4)),
-        )
-        res = solve_lp_exact(lp)
-        assert res.status == "optimal"
-        assert res.value == F(2)
-
+class TestFractionalCover:
     def test_fractional_covering_lp_value(self):
-        # tau*_1 of the triangle, read off its dual: half of each edge
-        res = solve_lp_exact(packing_lp(TRIANGLE, (1, 1, 1)))
-        assert res.status == "optimal"
-        assert res.value == F(3, 2)
-        assert res.solution == (F(1, 2), F(1, 2), F(1, 2))
+        # tau*_1 of the triangle: the half vertex of Q(A), or half of each edge
+        assert solve_lp_exact(TRIANGLE, (1, 1, 1)) == F(3, 2)
+
+    def test_empty_clutter(self):
+        assert solve_lp_exact(make_clutter([], []), ()) == 0
+
+    def test_weight_validation(self):
+        with pytest.raises(ValueError):
+            solve_lp_exact(TRIANGLE, (1, 1))
+        with pytest.raises(ValueError):
+            solve_lp_exact(TRIANGLE, (1, -1, 1))
 
     def test_lp_duality_on_clutter_programs(self):
-        # the packing LP optimum (simplex) equals the covering LP optimum,
-        # min <w, v> over the vertices v of Q(A) (double description)
-        for c in (TRIANGLE, C4, C5, K33):
-            vertices = enumerate_Q_vertices(c).vertices
+        # the covering optimum over the vertices of Q(A) equals the packing
+        # LP optimum, found by basic-solution enumeration
+        for c in (TRIANGLE, C4, C5, TWO_TRIANGLES, SINGLETON_AND_TRIANGLE):
             for w in ((1,) * c.n, tuple(1 + (i % 2) for i in range(c.n))):
-                pack = solve_lp_exact(packing_lp(c, w))
-                assert pack.status == "optimal"
-                assert pack.value == min(
-                    sum(wi * vi for wi, vi in zip(w, v)) for v in vertices
-                )
+                assert solve_lp_exact(c, w) == oracles.brute_packing_lp_value(c, w)
 
 
 class TestIlp:
@@ -330,7 +260,7 @@ class TestPackingSearch:
     def test_closure_membership_matches_the_lp_route(self, c, data):
         a = tuple(data.draw(st.integers(0, 3)) for _ in range(c.n))
         i = data.draw(st.integers(0, weighted_cover_number(c, a) + 1))
-        expected = solve_lp_exact(packing_lp(c, a)).value >= i
+        expected = oracles.brute_packing_lp_value(c, a) >= i
         assert integral_closure_membership(c, a, i) == expected
 
     @pytest.mark.parametrize(
@@ -343,12 +273,12 @@ class TestPackingSearch:
         ids=["triangle", "C5", "two-triangles"],
     )
     def test_gap_cases_are_decided_by_the_lp(self, c, i, tau, lp_value):
-        # nu < i <= tau at a = 1: neither bound decides, the LP does
+        # nu < i <= tau at a = 1: neither integer bound decides, tau* does
         a = (1,) * c.n
         assert weighted_cover_number(c, a) == tau
         assert not packs(c, a, i)
         assert packs(c, a, i - 1)
-        assert solve_lp_exact(packing_lp(c, a)).value == lp_value
+        assert solve_lp_exact(c, a) == lp_value
         assert integral_closure_membership(c, a, i) == (lp_value >= i)
 
     def test_validation(self):

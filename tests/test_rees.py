@@ -10,7 +10,6 @@ from clutterlab import (
     CorpusSpec,
     InstanceTooLargeError,
     adjoin_whisker_edge,
-    cone_contains,
     enumerate_clutters,
     hilbert_basis,
     integral_closure_membership,
@@ -25,6 +24,7 @@ from clutterlab import (
     power_membership,
     rees_cone,
     serialize_clutter,
+    solve_lp_exact,
     symbolic_power_membership,
 )
 from clutterlab.rees import _hilbert_basis
@@ -56,11 +56,12 @@ class TestReesCone:
         )
 
     def test_contains(self):
-        cone = rees_cone(TRIANGLE)
-        assert cone_contains(cone, (1, 1, 0, 1))
-        assert cone_contains(cone, (2, 1, 1, 2))
-        assert not cone_contains(cone, (0, 0, 0, 1))
-        assert not cone_contains(cone, (-1, 0, 0, 0))
+        contains = oracles.brute_rees_cone_membership(TRIANGLE)
+        assert contains((1, 1, 0, 1))
+        assert contains((2, 1, 1, 2))
+        assert not contains((0, 0, 0, 1))
+        assert not contains((-1, 0, 0, 0))
+        assert not contains((1, 1, 1, 2))
 
 
 class TestHilbertBasis:
@@ -86,9 +87,9 @@ class TestHilbertBasis:
 
     def test_every_element_in_cone(self):
         for c in (SINGLE, TRIANGLE, C4):
-            cone = rees_cone(c)
-            for el in hilbert_basis(cone).elements:
-                assert cone_contains(cone, el)
+            contains = oracles.brute_rees_cone_membership(c)
+            for el in hilbert_basis(rees_cone(c)).elements:
+                assert contains(el)
 
     def test_size_guards(self):
         big = make_clutter(
@@ -107,7 +108,9 @@ class TestHilbertBasis:
         hb = hilbert_basis(cone)
         box = 4
         assert all(max(el) <= box for el in hb.elements)
-        expected = oracles.brute_hilbert_basis(cone, cone_contains, box)
+        expected = oracles.brute_hilbert_basis(
+            cone.dim, oracles.brute_rees_cone_membership(c), box
+        )
         assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
 
     @pytest.mark.parametrize(
@@ -126,7 +129,9 @@ class TestHilbertBasis:
         hb = hilbert_basis(cone)
         box = 3
         assert all(max(el) <= box for el in hb.elements)
-        expected = oracles.brute_hilbert_basis(cone, cone_contains, box)
+        expected = oracles.brute_hilbert_basis(
+            cone.dim, oracles.brute_rees_cone_membership(c), box
+        )
         assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
 
     def test_cache_is_bounded(self):
@@ -185,6 +190,7 @@ class TestPowerMembership:
         assert integral_closure_membership(
             c, a, power
         ) == oracles.brute_closure_membership(c, a, power)
+        assert solve_lp_exact(c, a) == oracles.brute_packing_lp_value(c, a)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -220,7 +226,7 @@ class TestNormality:
         verdict = is_normal(TWO_TRIANGLES, max_edges=12)
         a, b = verdict.witness
         assert not power_membership(TWO_TRIANGLES, a, b)
-        assert cone_contains(rees_cone(TWO_TRIANGLES), a + (b,))
+        assert oracles.brute_rees_cone_membership(TWO_TRIANGLES)(a + (b,))
 
     def test_bounded_normality(self):
         res = is_normal_bounded(TRIANGLE, 3)
