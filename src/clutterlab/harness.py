@@ -162,14 +162,18 @@ class VerifyBounds:
     max_power: power bound k for bounded normality / torsion-freeness.
     parallel_weight: parallelization sweeps use w in {0..this}^n.
     whisker_lengths: whisker edge lengths tested at every vertex.
-    graft_weight: weight box for the graft-preservation MFMC check.
+    hilbert_max_vertices, hilbert_max_edges: the corpus `normal` verdict.
+    cm_max_vertices: grafts (`graft-cm`, `graft-mfmc`) and every normality
+        check on a derived clutter (`parall-normal`, `whisker-normal`).
+    packing_max_vertices: the corpus `packing` verdict, `whisker-packing`
+        and `graft-pp`.
+    ideal_max_vertices: the corpus `ideal` verdict.
     """
 
     max_weight: int = 2
     max_power: int = 2
     parallel_weight: int = 2
     whisker_lengths: tuple[int, ...] = (1, 2)
-    graft_weight: int = 1
     include_graft: bool = True
     include_parallelization: bool = True
     include_whiskers: bool = True
@@ -403,6 +407,15 @@ def verify_theorems(
     def skip(name: str):
         summary.skipped[name] = summary.skipped.get(name, 0) + 1
 
+    def check_normal(name, x: Clutter, c: Clutter, details: dict, ideal=True):
+        # x, derived from c, answers to the graft guard; the hilbert_max_*
+        # bounds hold for the corpus `normal` verdict only
+        if x.n > bounds.cm_max_vertices:
+            skip(name)
+            return
+        guard = {"max_vertices": bounds.cm_max_vertices, "max_edges": x.q}
+        check(name, ideal and rees.is_normal(x, **guard).normal, c, details)
+
     for c in enumerate_clutters(spec):
         report = check_properties(c, bounds)
         summary.reports.append(report)
@@ -449,19 +462,7 @@ def verify_theorems(
                     )
                 if normal:
                     # the paper: normality is closed under parallelization
-                    if cp.n > bounds.hilbert_max_vertices:
-                        skip("parall-normal")
-                    else:
-                        check(
-                            "parall-normal",
-                            rees.is_normal(
-                                cp,
-                                max_vertices=bounds.hilbert_max_vertices,
-                                max_edges=max(bounds.hilbert_max_edges, cp.q),
-                            ).normal,
-                            c,
-                            {"w": list(w)},
-                        )
+                    check_normal("parall-normal", cp, c, {"w": list(w)})
 
         if bounds.include_whiskers:
             for v in c.vertices:
@@ -490,55 +491,51 @@ def verify_theorems(
                         )
                     if normal:
                         # empirical: no proof of this is recorded here
-                        if cw.n > bounds.hilbert_max_vertices:
-                            skip("whisker-normal")
-                        else:
-                            check(
-                                "whisker-normal",
-                                rees.is_normal(
-                                    cw,
-                                    max_vertices=bounds.hilbert_max_vertices,
-                                    max_edges=max(bounds.hilbert_max_edges, cw.q),
-                                ).normal,
-                                c,
-                                {"vertex": v, "length": length},
-                            )
-
-        if bounds.include_graft:
-            d = is_uniform(c)
-            if d is not None and c.n * d <= bounds.cm_max_vertices:
-                gc = graft(c)
-                # the paper: a graft is Cohen-Macaulay and keeps packing
-                check(
-                    "graft-cm",
-                    cm_mod.is_cohen_macaulay(
-                        gc, field="Q", max_vertices=bounds.cm_max_vertices
-                    ).cohen_macaulay,
-                    c,
-                    {"graft": serialize_clutter(gc)},
-                )
-                if pp:
-                    if gc.n > bounds.packing_max_vertices:
-                        skip("graft-pp")
-                    else:
-                        check(
-                            "graft-pp",
-                            covering.has_packing_property(
-                                gc, max_vertices=bounds.packing_max_vertices
-                            ).holds,
-                            c,
-                            {"graft": serialize_clutter(gc)},
+                        check_normal(
+                            "whisker-normal", cw, c, {"vertex": v, "length": length}
                         )
+
+        if bounds.include_graft and (d := is_uniform(c)) is not None:
+            if c.n * d > bounds.cm_max_vertices:
+                # the graft is beyond the guard of every graft check
+                skip("graft-cm")
+                if pp:
+                    skip("graft-pp")
+                if exact_mfmc:
+                    skip("graft-mfmc")
+                continue
+            gc = graft(c)
+            details = {"graft": serialize_clutter(gc)}
+            # the paper: a graft is Cohen-Macaulay and keeps packing and MFMC
+            check(
+                "graft-cm",
+                cm_mod.is_cohen_macaulay(
+                    gc, field="Q", max_vertices=bounds.cm_max_vertices
+                ).cohen_macaulay,
+                c,
+                details,
+            )
+            if pp:
+                if gc.n > bounds.packing_max_vertices:
+                    skip("graft-pp")
+                else:
+                    check(
+                        "graft-pp",
+                        covering.has_packing_property(
+                            gc, max_vertices=bounds.packing_max_vertices
+                        ).holds,
+                        c,
+                        details,
+                    )
+            if exact_mfmc:
                 # with m_i the least weight on x_i's whisker, tau_u(gc) =
                 # sum(min(u_i, m_i)) + tau_{(u-m)+}(c), and packing the
-                # whiskers first reaches it, so c's box carries to gc's
-                if polyhedra.mfmc_bounded(c, bounds.graft_weight).certified:
-                    check(
-                        "graft-mfmc",
-                        polyhedra.mfmc_bounded(gc, bounds.graft_weight).certified,
-                        c,
-                        {"graft": serialize_clutter(gc), "w": bounds.graft_weight},
-                    )
+                # whiskers first reaches it, so MFMC (ideal and normal)
+                # carries from c to gc
+                ideal_gc = polyhedra.is_ideal_clutter(
+                    gc, max_vertices=bounds.cm_max_vertices
+                ).ideal
+                check_normal("graft-mfmc", gc, c, details, ideal=ideal_gc)
     return summary
 
 

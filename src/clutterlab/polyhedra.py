@@ -87,16 +87,24 @@ def _q_vertex_rays(n: int, edges) -> list[tuple[int, ...]]:
     return [r for r in rays if r[n]]
 
 
-def solve_lp_exact(c: Clutter, weights) -> Fraction:
+def _guard_q_size(n: int, max_vertices: int) -> None:
+    if n > max_vertices:
+        raise InstanceTooLargeError(
+            f"Q(A) vertex enumeration limited to {max_vertices} vertices (got {n})"
+        )
+
+
+def solve_lp_exact(c: Clutter, weights, max_vertices: int = 12) -> Fraction:
     """tau*_w, the optimum of the covering LP min{<w, x> : x in Q(A)}.
 
     For w >= 0 the minimum is attained at a vertex of Q(A), so it is the
     least <w, x> / t over the rays (x, t) of `_q_vertex_rays`.  By LP
     duality this is also the fractional packing optimum.  Exact; the empty
-    clutter gives 0.
+    clutter gives 0.  ``max_vertices`` bounds n as in `enumerate_Q_vertices`.
     """
     w = _vertex_vector(c, weights)
     n = c.n
+    _guard_q_size(n, max_vertices)
     return min(
         Fraction(sum(wi * xi for wi, xi in zip(w, r)), r[n])
         for r in _q_vertex_rays(n, c.edges)
@@ -115,10 +123,7 @@ def enumerate_Q_vertices(c: Clutter, max_vertices: int = 12) -> QVertexSet:
     it replaced (kept as `tests/oracles.brute_Q_vertices`).
     """
     n = c.n
-    if n > max_vertices:
-        raise InstanceTooLargeError(
-            f"Q(A) vertex enumeration limited to {max_vertices} vertices (got {n})"
-        )
+    _guard_q_size(n, max_vertices)
     vertices = (
         tuple(Fraction(xi, r[n]) for xi in r[:n]) for r in _q_vertex_rays(n, c.edges)
     )

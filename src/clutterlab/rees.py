@@ -226,7 +226,8 @@ def integral_closure_membership(c: Clutter, a, i) -> bool:
 
     The Newton-polyhedron test: a dominates a point of i times the edge
     polytope, that is, the fractional cover number tau*_a, the least <a, v>
-    over the vertices v of Q(A), is at least i.
+    over the vertices v of Q(A), is at least i.  `solve_lp_exact` refuses
+    clutters on more than 12 vertices.
     """
     vec = _vertex_vector(c, a, "exponents")
     power = int(i)

@@ -10,11 +10,15 @@ the cover-weight formula, the covering/matching numbers, and the packing ILP
 value are all equivariant under vertex relabelling, so sweeping every weight
 vector over one representative per isomorphism class decides the full
 labelled corpus — any labelled counterexample would map to one on its class
-representative.  The bounded-MFMC leg of criterion 6 uses the weight-one
-box, where cover/packing equality at w in {0,1}^n is precisely the König
-property of the corresponding deletion minor; the graft side is therefore
-checked as König over all deletion minors, which is exact and fits the
-budget where a naive box scan over 3^15 weight vectors would not.
+representative.  Criterion 6 checks that grafting keeps MFMC by two routes.
+The exact leg rests on MFMC = ideal and normal (Gitler-Valencia-Villarreal
+2007; Gitler-Reyes-Villarreal 2009): every base that is ideal and normal
+must have an ideal and normal graft.  The weight-one leg uses neither
+verdict: cover/packing equality at w in {0,1}^n is precisely the König
+property of the corresponding deletion minor, so the graft of every base
+certified at W = 1 is checked as König over all deletion minors, which is
+exact and fits the budget where a naive box scan over 3^15 weight vectors
+would not.
 """
 
 import itertools
@@ -177,7 +181,7 @@ def test_criterion_05_normality_under_parallelization():
 def test_criterion_06_grafting_preserves_structure():
     t0 = time.perf_counter()
     failures = []
-    pp_bases = mfmc_bases = total = 0
+    pp_bases = mfmc_bases = exact_bases = total = 0
     for d in (2, 3):
         spec = CorpusSpec(5, uniform_size=d, isomorph_reject=True)
         for base in enumerate_clutters(spec):
@@ -189,6 +193,13 @@ def test_criterion_06_grafting_preserves_structure():
                 pp_bases += 1
                 if not has_packing_property(g, max_vertices=15).holds:
                     failures.append(("pp", d, serialize_clutter(base)))
+            if is_ideal_clutter(base).ideal and is_normal(base).normal:
+                exact_bases += 1
+                if not (
+                    is_ideal_clutter(g, max_vertices=g.n).ideal
+                    and is_normal(g, max_vertices=g.n, max_edges=g.q).normal
+                ):
+                    failures.append(("exact-mfmc", d, serialize_clutter(base)))
             if mfmc_bounded(base, 1).certified:
                 mfmc_bases += 1
                 # weight-one boxes on the graft == König for every deletion
@@ -202,6 +213,8 @@ def test_criterion_06_grafting_preserves_structure():
                         break
     if total != 66:
         failures.append(f"class count {total} != 66")
+    if exact_bases != 18:
+        failures.append(f"ideal and normal base count {exact_bases} != 18")
     if pp_bases == 0 or mfmc_bases == 0:
         failures.append("a preservation leg would be vacuous")
     _finish(6, "graft-preservation", failures, time.perf_counter() - t0, 1200.0)

@@ -27,11 +27,13 @@ from clutterlab import (
     is_normal,
     isomorphism_key,
     make_clutter,
+    parallelization,
     parse_clutter,
     read_report,
     report_hash,
     scan_conforti_cornuejols,
     serialize_clutter,
+    solve_lp_exact,
     verify_theorems,
 )
 from clutterlab.cli import main
@@ -162,6 +164,7 @@ class TestGuardDefaults:
             (has_packing_property, "max_vertices", "packing_max_vertices"),
             (is_cohen_macaulay, "max_vertices", "cm_max_vertices"),
             (is_ideal_clutter, "max_vertices", "ideal_max_vertices"),
+            (solve_lp_exact, "max_vertices", "ideal_max_vertices"),
             (hilbert_basis, "max_vertices", "hilbert_max_vertices"),
             (hilbert_basis, "max_edges", "hilbert_max_edges"),
             (is_normal, "max_vertices", "hilbert_max_vertices"),
@@ -249,6 +252,58 @@ class TestVerifyTheorems:
         assert summary.skipped["graft-pp"] == 1
         assert "graft-pp" not in summary.checked
         assert summary.checked["graft-cm"] == 1
+
+    def test_graft_beyond_cm_guard_is_skipped(self):
+        # the 4-uniform classes on 5 vertices graft to 20 vertices, beyond
+        # the CM guard of 16; only {x1x2x3x4} grafts within it (to 16, one
+        # beyond the packing guard).  The two packing classes are the two
+        # with exact MFMC.
+        summary = verify_theorems(
+            CorpusSpec(5, uniform_size=4, isomorph_reject=True),
+            VerifyBounds(include_parallelization=False, include_whiskers=False),
+        )
+        assert len(summary.reports) == 5
+        assert summary.checked["graft-cm"] == 1
+        assert summary.skipped["graft-cm"] == 4
+        assert "graft-pp" not in summary.checked
+        assert summary.skipped["graft-pp"] == 2
+        assert summary.checked["graft-mfmc"] == 1
+        assert summary.skipped["graft-mfmc"] == 1
+
+    def test_graft_mfmc_is_gated_on_exact_mfmc(self):
+        # the triangle is normal but not ideal, so only its graft goes
+        # unchecked; the other six have exact MFMC
+        summary = verify_theorems(
+            CorpusSpec(3, uniform_size=2),
+            VerifyBounds(include_parallelization=False, include_whiskers=False),
+        )
+        exact = [
+            r.verdict("ideal").value and r.verdict("normal").value
+            for r in summary.reports
+        ]
+        assert exact == [True] * 6 + [False]
+        assert summary.reports[-1].clutter == TRIANGLE_TEXT
+        assert summary.checked["graft-cm"] == 7
+        assert summary.checked["graft-mfmc"] == 6
+        assert not summary.skipped
+
+    def test_derived_normality_answers_to_the_cm_guard(self):
+        # parallelizations beyond cm_max_vertices are skipped, the rest
+        # checked, whatever the Hilbert-basis guard of the corpus verdict
+        bounds = VerifyBounds(
+            cm_max_vertices=4,
+            hilbert_max_vertices=3,
+            include_graft=False,
+            include_whiskers=False,
+        )
+        summary = verify_theorems(CorpusSpec(3, uniform_size=2), bounds)
+        sizes = [
+            parallelization(parse_clutter(r.clutter), w).n
+            for r in summary.reports
+            for w in itertools.product(range(3), repeat=r.vertex_count)
+        ]
+        assert summary.skipped["parall-normal"] == sum(n > 4 for n in sizes) == 16
+        assert summary.checked["parall-normal"] == sum(n <= 4 for n in sizes) == 119
 
     def test_five_vertex_graph_classes_pass(self):
         # C5 is NTF at k = 2 but not ideal, so it has no exact MFMC

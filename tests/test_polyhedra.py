@@ -62,6 +62,20 @@ class TestFractionalCover:
         with pytest.raises(ValueError):
             solve_lp_exact(TRIANGLE, (1, -1, 1))
 
+    def test_size_guard(self):
+        # 13 vertices, one beyond the default guard shared with Q(A) vertices
+        from clutterlab import InstanceTooLargeError
+
+        path = make_clutter(
+            [f"x{i}" for i in range(13)],
+            [(f"x{i}", f"x{i + 1}") for i in range(12)],
+        )
+        with pytest.raises(InstanceTooLargeError, match="limited to 12 vertices"):
+            solve_lp_exact(path, (1,) * 13)
+        with pytest.raises(InstanceTooLargeError):
+            integral_closure_membership(path, (1,) * 13, 1)
+        assert solve_lp_exact(path, (1,) * 13, max_vertices=13) == 6
+
     def test_lp_duality_on_clutter_programs(self):
         # the covering optimum over the vertices of Q(A) equals the packing
         # LP optimum, found by basic-solution enumeration
