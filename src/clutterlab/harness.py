@@ -29,7 +29,8 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from itertools import combinations, permutations, product
+from itertools import combinations, groupby, permutations, product
+from operator import add
 from typing import Iterator
 
 from . import cm as cm_mod
@@ -60,7 +61,10 @@ class CorpusSpec:
     Without it, the corpus is every nonempty antichain of nonempty subsets,
     streamed in depth-first order over the (size, lex)-sorted subset list.
     Isomorph rejection keeps the first representative of each relabeling
-    class (exact minimization over vertex permutations).
+    class.  Each candidate's edge-index list is keyed before any ``Clutter``
+    is built, by an exact canonical form that minimizes only over the
+    relabelings respecting a refined vertex invariant (see
+    ``isomorphism_key``), so only first representatives are constructed.
     """
 
     max_vertices: int
@@ -79,17 +83,67 @@ class CorpusSpec:
             raise ValueError("max_edges must be positive")
 
 
-def isomorphism_key(c: Clutter):
-    """Canonical key: edge list minimized over all vertex relabelings."""
-    indices = range(c.n)
-    best = None
-    for perm in permutations(indices):
-        relabeled = tuple(
-            sorted(tuple(sorted(perm[v] for v in e)) for e in c.edges)
-        )
-        if best is None or relabeled < best:
-            best = relabeled
-    return (c.n, c.q, best)
+def _edge_key(edges) -> tuple:
+    """Canonical key of the clutter on the vertices that ``edges`` use.
+
+    ``edges`` are vertex-index tuples; indices that no edge uses are ignored,
+    as ``make_clutter`` drops those vertices.  Each vertex gets an invariant:
+    the sorted sizes of its edges (their number is its degree), refined once
+    by the sorted multiset, over its edges, of the members' size lists.
+    The key is the least sorted bitmask edge list over the relabelings that
+    send the vertices of each invariant class, taken in invariant order, onto
+    their own block of positions.  Isomorphic edge lists have the same
+    invariant classes and so the same set of relabeled lists, hence equal
+    keys; equal keys give equal relabeled lists, hence isomorphic ones.
+    """
+    incident: dict[int, list[int]] = {}
+    for j, e in enumerate(edges):
+        for v in e:
+            incident.setdefault(v, []).append(j)
+    sizes = {
+        v: tuple(sorted(len(edges[j]) for j in js)) for v, js in incident.items()
+    }
+    profile = [tuple(sorted(sizes[u] for u in e)) for e in edges]
+    invariant = {
+        v: (sizes[v], tuple(sorted(profile[j] for j in js)))
+        for v, js in incident.items()
+    }
+    order = sorted(incident, key=invariant.__getitem__)
+    blocks = [list(group) for _, group in groupby(order, key=invariant.__getitem__)]
+    # A block's permutation adds its vertices' bits to the edges they lie
+    # on; a relabeling's edge masks are the sums of one choice per block.
+    relabelings = [[0] * len(edges)]
+    start = 0
+    for block in blocks:
+        layer = []
+        for perm in permutations(block):
+            part = [0] * len(edges)
+            for i, v in enumerate(perm, start):
+                for j in incident[v]:
+                    part[j] += 1 << i
+            layer.append(part)
+        relabelings = [list(map(add, r, part)) for r in relabelings for part in layer]
+        start += len(block)
+    best = min(tuple(sorted(r)) for r in relabelings)
+    return (
+        len(order),
+        len(edges),
+        tuple(invariant[v] for v in order),
+        best,
+    )
+
+
+def isomorphism_key(c: Clutter) -> tuple:
+    """Canonical key: two clutters are isomorphic exactly when their keys are
+    equal.
+
+    The key is an invariant-restricted canonical form, in the manner of
+    nauty's vertex-invariant refinement (McKay-Piperno 2014): the least
+    bitmask edge list over the relabelings that respect a vertex invariant
+    (edge-size profile, refined once by the neighbours' profiles), not over
+    all n! relabelings.  ``enumerate_clutters`` keys its candidates' edge
+    lists by the same routine before it builds them."""
+    return _edge_key(c.edges)
 
 
 def enumerate_clutters(spec: CorpusSpec) -> Iterator[Clutter]:
@@ -99,13 +153,12 @@ def enumerate_clutters(spec: CorpusSpec) -> Iterator[Clutter]:
     seen: set = set()
 
     def emit(edge_indices) -> Clutter | None:
-        c = make_clutter(labels, [[labels[v] for v in e] for e in edge_indices])
         if spec.isomorph_reject:
-            key = isomorphism_key(c)
+            key = _edge_key(edge_indices)
             if key in seen:
                 return None
             seen.add(key)
-        return c
+        return make_clutter(labels, [[labels[v] for v in e] for e in edge_indices])
 
     if spec.uniform_size is not None:
         if n > 6:

@@ -530,3 +530,26 @@ def brute_packing_witness(c):
                 beta,
             )
     return None
+
+
+def brute_isomorphism_key(c):
+    """Isomorphism key by exhaustion: the edge list minimized over all n!
+    vertex relabelings."""
+    best = None
+    for perm in permutations(range(c.n)):
+        relabeled = tuple(
+            sorted(tuple(sorted(perm[v] for v in e)) for e in c.edges)
+        )
+        if best is None or relabeled < best:
+            best = relabeled
+    return (c.n, c.q, best)
+
+
+def brute_isomorph_free(clutters):
+    """First representative of each isomorphism class, in stream order."""
+    seen = set()
+    for c in clutters:
+        key = brute_isomorphism_key(c)
+        if key not in seen:
+            seen.add(key)
+            yield c

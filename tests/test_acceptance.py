@@ -303,3 +303,17 @@ def test_criterion_10_counterexample_scan_smoke():
     if len(first.reports) != 40:
         failures.append(f"filtered corpus size {len(first.reports)} != 40")
     _finish(10, "scan-smoke", failures, time.perf_counter() - t0, 600.0)
+
+
+def test_criterion_11_six_vertex_graph_classes():
+    # A000088 counts 156 graphs on 6 vertices; the corpus drops isolated
+    # vertices, so each graph but the edgeless one appears once, as the
+    # clutter of its edges
+    t0 = time.perf_counter()
+    failures = []
+    classes = list(
+        enumerate_clutters(CorpusSpec(6, uniform_size=2, isomorph_reject=True))
+    )
+    if len(classes) != 155:
+        failures.append(f"{len(classes)} graph classes != 155")
+    _finish(11, "six-vertex-graph-classes", failures, time.perf_counter() - t0, 60.0)

@@ -4,11 +4,17 @@ import importlib
 import inspect
 import itertools
 import json
+import os
+import subprocess
+import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 import strategies
 from clutterlab import (
     CorpusSpec,
@@ -37,7 +43,7 @@ from clutterlab import (
     verify_theorems,
 )
 from clutterlab.cli import main
-from clutterlab.harness import _IMPLICATIONS
+from clutterlab.harness import _IMPLICATIONS, _edge_key
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 TRIANGLE_TEXT = "v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n"
@@ -110,6 +116,73 @@ class TestEnumeration:
         assert isomorphism_key(a) == isomorphism_key(b)
         c = make_clutter(["p", "q", "r"], [["p", "q"], ["q", "r"], ["p", "r"]])
         assert isomorphism_key(a) != isomorphism_key(c)
+
+
+# every isomorph-free spec on at most 5 vertices, with its class count:
+# 8, 28 and 208 antichains are A003182's 10, 30 and 210 without the empty
+# antichain and {∅}
+ISO_SPECS = [
+    pytest.param(CorpusSpec(3, isomorph_reject=True), 8, id="n3"),
+    pytest.param(CorpusSpec(4, isomorph_reject=True), 28, id="n4"),
+    pytest.param(CorpusSpec(5, isomorph_reject=True), 208, id="n5"),
+    *(
+        pytest.param(
+            CorpusSpec(5, uniform_size=d, isomorph_reject=True), count, id=f"n5-d{d}"
+        )
+        for d, count in ((1, 5), (2, 33), (3, 33), (4, 5), (5, 1))
+    ),
+    pytest.param(
+        CorpusSpec(5, uniform_size=3, max_edges=5, isomorph_reject=True), 19,
+        id="n5-d3-q5",
+    ),
+]
+
+
+class TestIsomorphismKey:
+    @pytest.mark.parametrize("spec, count", ISO_SPECS)
+    def test_enumeration_matches_brute_key_oracle(self, spec, count):
+        mine = [serialize_clutter(c) for c in enumerate_clutters(spec)]
+        labelled = enumerate_clutters(replace(spec, isomorph_reject=False))
+        brute = [serialize_clutter(c) for c in oracles.brute_isomorph_free(labelled)]
+        assert mine == brute
+        assert len(mine) == count
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.clutters(max_n=6, max_q=6), st.randoms(use_true_random=False))
+    def test_invariant_under_relabeling(self, c, rng):
+        # fresh names, listed in an order that moves the vertices around
+        names = [f"y{i}" for i in range(c.n)]
+        rng.shuffle(names)
+        relabeled = make_clutter(
+            sorted(names), [[names[v] for v in e] for e in c.edges]
+        )
+        assert isomorphism_key(relabeled) == isomorphism_key(c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(strategies.clutters(max_n=5, max_q=4), strategies.clutters(max_n=5, max_q=4))
+    def test_complete_against_brute_key(self, a, b):
+        brute = oracles.brute_isomorphism_key
+        assert (isomorphism_key(a) == isomorphism_key(b)) == (brute(a) == brute(b))
+
+    def test_equal_invariants_different_classes(self):
+        # C6 and two disjoint triangles: every vertex has degree 2 and
+        # neighbours of degree 2, so only the minimum tells them apart
+        hexagon = make_clutter("abcdef", ["ab", "bc", "cd", "de", "ef", "af"])
+        triangles = make_clutter("abcdef", ["ab", "bc", "ac", "de", "ef", "df"])
+        assert isomorphism_key(hexagon)[:3] == isomorphism_key(triangles)[:3]
+        assert isomorphism_key(hexagon) != isomorphism_key(triangles)
+
+    def test_stranded_indices_are_ignored(self):
+        path = make_clutter(["a", "b", "c"], [["a", "b"], ["b", "c"]])
+        assert _edge_key([(0, 3), (3, 5)]) == isomorphism_key(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategies.clutters(max_n=5, max_q=5), st.randoms(use_true_random=False))
+    def test_key_of_spread_indices(self, c, rng):
+        # an increasing map into a wider index range leaves gaps
+        spread = sorted(rng.sample(range(2 * c.n + 2), c.n))
+        edges = [tuple(spread[v] for v in e) for e in c.edges]
+        assert _edge_key(edges) == isomorphism_key(c)
 
 
 class TestCheckProperties:
@@ -563,3 +636,20 @@ class TestCli:
     def test_verify_zero_weight_bound(self, capsys):
         assert main(["verify", "--n", "3", "--d", "2", "--max-w", "0"]) == 1
         assert "weight bound" in capsys.readouterr().err
+
+    def test_python_dash_m(self):
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": "src"}
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "clutterlab", *args],
+                cwd=root, env=env, capture_output=True, text=True, timeout=300,
+            )
+
+        ok = run("verify", "--n", "3", "--d", "2")
+        assert ok.returncode == 0, ok.stderr
+        assert "0 violations" in ok.stdout
+        too_large = run("scan", "--n", "7", "--d", "2", "--iso")
+        assert too_large.returncode == 4
+        assert "uniform enumeration is limited to 6 vertices" in too_large.stderr
