@@ -11,11 +11,16 @@ triangulation of the cone into simplicial subcones on generator rays,
 lattice-point enumeration of each half-open fundamental parallelepiped (via
 the Hermite-diagonal residue system), and a grading-ordered irreducibility
 sieve.  The initial simplex comes from `_linalg.independent_rows`.  Its
-facet normals are the columns of one adjugate, and each parallelepiped is
-mapped to its residues through the adjugate of its rays.  The normals are
-the extreme rays of the dual cone, so each further generator g cuts them by
-<h, g> <= 0 with `_linalg.dd_step`; they double as the cone-membership test
-used by the sieve.
+facet normals are the columns of one adjugate, and its determinant is its
+volume.  The normals are the extreme rays of the dual cone, so each further
+generator g cuts them by <h, g> <= 0 with `_linalg.dd_step`; they double as
+the cone-membership test used by the sieve.  Simplices are bitmasks of
+generator indices, and `dd_step` keeps for each normal h the mask of the
+processed generators on h, so "sigma has a facet on h" is one bit test.
+The simplex glued onto that facet gets its volume from sigma's, and only a
+simplex of volume above 1 has lattice points to enumerate: its Hermite
+diagonal, whose product is checked against the carried volume, maps it to
+its residues through the adjugate of its rays.
 
 With capacities a, x^a lies in I^i when the packing number nu_a >= i, in
 the integral closure when the fractional cover number tau*_a >= i, and in the
@@ -27,24 +32,31 @@ Bounded surrogates compare ordinary powers I^i against integral closures
 (`is_normal_bounded`) and symbolic powers (`is_ntf_bounded`) by enumerating
 the candidate exponent box {0..i}^n, which contains every minimal generator
 of either larger ideal because all edge vectors are 0/1.  Both share one
-scan over those vertices, as integer rows (x, t): one pass of slacks
-<a, x> - i t per point decides membership and minimality, and each minimal
-generator is checked against I^i by the packing search.
+scan over those vertices, as integer rows (x, t): the slacks <a, x> - i t of
+all rows are packed into the bit fields of one int, so membership and
+minimality are a few int operations per point, and each minimal generator
+is checked against I^i by the packing search.
+
+`is_normal` and `is_ntf_bounded` keep their verdicts in bounded memos keyed
+on the edge structure (n, edges) alone, looked up once the size guards have
+passed: the verdicts and their witnesses never read a label, and the
+theorem suite meets the same structure many times under different labels.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from math import prod
+from operator import mul
 
 from . import covering
 from ._linalg import (
     _det_adjugate, dd_step, hermite_diagonal, independent_rows, primitive,
 )
 from .core import Clutter, InstanceTooLargeError, _vertex_vector
-from .polyhedra import _q_vertex_rays, solve_lp_exact
+from .polyhedra import _guard_q_size, _q_vertex_rays, solve_lp_exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -85,6 +97,14 @@ def rees_cone(c: Clutter) -> ReesCone:
     return ReesCone(dim=c.n + 1, generators=tuple(gens))
 
 
+def _guard_hilbert_size(n: int, q: int, max_vertices: int, max_edges: int) -> None:
+    if n > max_vertices or q > max_edges:
+        raise InstanceTooLargeError(
+            f"Hilbert basis limited to {max_vertices} vertices and "
+            f"{max_edges} lifted generators (got n={n}, q={q})"
+        )
+
+
 def hilbert_basis(
     cone: ReesCone, max_vertices: int = 8, max_edges: int = 24
 ) -> HilbertBasis:
@@ -94,13 +114,8 @@ def hilbert_basis(
     ``max_edges`` lifted (t-degree 1) generators by default; callers may
     raise the limits explicitly.
     """
-    n = cone.dim - 1
     q = sum(1 for g in cone.generators if g[-1] == 1)
-    if n > max_vertices or q > max_edges:
-        raise InstanceTooLargeError(
-            f"Hilbert basis limited to {max_vertices} vertices and "
-            f"{max_edges} lifted generators (got n={n}, q={q})"
-        )
+    _guard_hilbert_size(cone.dim - 1, q, max_vertices, max_edges)
     return _hilbert_basis(cone)
 
 
@@ -108,7 +123,10 @@ def _degree_lex(vec):
     return (sum(vec), vec)
 
 
-@lru_cache(maxsize=1024)
+def _dot(h, g) -> int:
+    return sum(map(mul, h, g))
+
+
 def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
     D = cone.dim
     gens: list[tuple[int, ...]] = []
@@ -128,7 +146,6 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
     if len(chosen) < D:
         raise ValueError("cone must be full-dimensional or spanned by unit vectors")
     rest = [i for i in range(len(gens)) if i not in chosen]
-    simplices: list[tuple[int, ...]] = [tuple(chosen)]
 
     # outward facet normals of the initial simplicial cone, each with the
     # bitmask of processed generators it vanishes on: column j of the
@@ -139,50 +156,46 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
     normals = [primitive([sign * row[j] for row in adj]) for j in range(D)]
     everything = sum(1 << i for i in chosen)
     zeros = [everything ^ (1 << i) for i in chosen]
-
-    dot_cache: dict[tuple[tuple[int, ...], int], int] = {}
-
-    def dot(normal: tuple[int, ...], gi: int) -> int:
-        key = (normal, gi)
-        v = dot_cache.get(key)
-        if v is None:
-            v = sum(a * b for a, b in zip(normal, gens[gi]))
-            dot_cache[key] = v
-        return v
+    # the triangulation: bitmask of each simplex's generators -> its |det|
+    simplices = {everything: abs(det)}
 
     for idx in rest:
-        vals = [dot(h, idx) for h in normals]
+        vals = [_dot(h, gens[idx]) for h in normals]
 
-        # extend the triangulation over the visible part of the boundary: a
-        # facet of a simplex lies on hull hyperplane h exactly when one of
-        # its rays has a nonzero (negative) dot with h and the rest vanish
-        new_simplices: dict[tuple[int, ...], None] = {}
-        for hn, v in zip(normals, vals):
+        # extend the triangulation over the visible part of the boundary.
+        # Every processed generator has <h, g> <= 0, so the mask z of those
+        # on h is exact, and a simplex has a facet F on h exactly when one
+        # ray r is off it.  det(F, x) is a multiple of <h, x>, so the new
+        # simplex F + g has volume |det sigma| <h, g> / |<h, r>|, exactly.
+        new_simplices: dict[int, int] = {}
+        for h, z, v in zip(normals, zeros, vals):
             if v <= 0:
                 continue
-            for sigma in simplices:
-                nonzero = [r for r in sigma if dot(hn, r) != 0]
-                if len(nonzero) == 1:
-                    face = set(sigma)
-                    face.discard(nonzero[0])
-                    face.add(idx)
-                    new_simplices[tuple(sorted(face))] = None
-        simplices.extend(new_simplices)
+            for sigma, volume in simplices.items():
+                off = sigma & ~z
+                if off & (off - 1) == 0:
+                    r = off.bit_length() - 1
+                    new_simplices[sigma ^ off | 1 << idx] = (
+                        volume * v // -_dot(h, gens[r])
+                    )
+        simplices.update(new_simplices)
 
         # the normals are the extreme rays of the dual cone, which adding
         # the generator cuts by the half-space <h, g> <= 0
         normals, zeros = dd_step(normals, zeros, [-v for v in vals], 1 << idx, D)
 
-    # lattice points of each half-open fundamental parallelepiped
+    # lattice points of each half-open fundamental parallelepiped; a simplex
+    # of volume 1 holds none but its apex
     candidates: set[tuple[int, ...]] = set(gens)
-    for sigma in simplices:
-        rays = [gens[i] for i in sigma]
-        diag = hermite_diagonal([list(r) for r in rays])
-        volume = 1
-        for d in diag:
-            volume *= d
+    for sigma, volume in simplices.items():
         if volume == 1:
             continue
+        rays = [g for i, g in enumerate(gens) if sigma >> i & 1]
+        diag = hermite_diagonal(rays)
+        if prod(diag) != volume:
+            raise RuntimeError(
+                "carried simplex volume disagrees with the Hermite diagonal"
+            )
         matrix = [[rays[col][row] for col in range(D)] for row in range(D)]
         det, adjugate = _det_adjugate(matrix)
         for t in product(*(range(d) for d in diag)):
@@ -262,6 +275,27 @@ class NormalityVerdict:
     witness: tuple[tuple[int, ...], int] | None = None
 
 
+class _Structure:
+    """A clutter hashed and compared by its edge structure (n, edges) alone,
+    so that the verdict memos serve every copy of it, whatever its labels.
+
+    Normality and the bounded power comparisons, witnesses included, read
+    only the vertex indices, never the labels.
+    """
+
+    __slots__ = ("clutter", "key")
+
+    def __init__(self, c: Clutter):
+        self.clutter = c
+        self.key = (c.n, c.edges)
+
+    def __hash__(self):
+        return hash(self.key)
+
+    def __eq__(self, other):
+        return self.key == other.key
+
+
 def is_normal(
     c: Clutter, max_vertices: int = 8, max_edges: int = 24
 ) -> NormalityVerdict:
@@ -270,9 +304,16 @@ def is_normal(
     The ideal is normal iff every Hilbert-basis element of the Rees cone
     already lies in the semigroup generated by the lifted edges and unit
     vectors; the first failure (in basis order) is returned as a witness.
+    The size guard is that of `hilbert_basis`, checked before the memo.
     """
-    basis = hilbert_basis(rees_cone(c), max_vertices=max_vertices, max_edges=max_edges)
-    for element in basis.elements:
+    _guard_hilbert_size(c.n, c.q, max_vertices, max_edges)
+    return _normality(_Structure(c))
+
+
+@lru_cache(maxsize=1024)
+def _normality(s: _Structure) -> NormalityVerdict:
+    c = s.clutter
+    for element in _hilbert_basis(rees_cone(c)).elements:
         a, b = element[: c.n], element[c.n]
         if not power_membership(c, a, b):
             return NormalityVerdict(normal=False, witness=(a, b))
@@ -293,70 +334,111 @@ class PowerCertificate:
     witness: tuple[tuple[int, ...], int] | None = None
 
 
-def _bounded_power_scan(c: Clutter, bound: int, rows, max_boxes: int):
+def _guard_power_box(n: int, max_power, max_boxes: int) -> int:
+    bound = int(max_power)
+    if bound < 1:
+        raise ValueError("the power bound must be positive")
+    if (bound + 1) ** n > max_boxes:
+        raise InstanceTooLargeError(
+            f"{(bound + 1) ** n} candidate exponent vectors exceed "
+            f"the limit of {max_boxes}"
+        )
+    return bound
+
+
+# the last coordinates of the box are walked from a table of at most this
+# many points, the first ones as prefixes against it
+_SUFFIX_POINTS = 1024
+
+
+def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
     """Check the minimal generators of J_i = {a : <a, x> >= i t for every row
     (x, t)} in the box {0..i}^n against I^i, for i = 1..bound in order; the
     first failure is the lex-first witness.
 
-    Each row is an integer pair (x, t), t > 0, with x given as a multiset of
-    vertex indices.  With slack s = <a, x> - i t, a is in J_i iff every
-    s >= 0, and a - e_j is in J_i iff every row has x_j <= s.  So a member is
-    minimal iff each j with a_j > 0 has some row with x_j > s.  Box points
-    are valid capacities, so the packing search decides I^i directly.  The
-    minimality filter only saves searches: I^i is closed upwards, so the
-    lex-first member outside it is minimal anyway.
+    Each row is an integer pair (x, t), t > 0, with x a vector of length n.
+    With slack s = <a, x> - i t, a is in J_i iff every s >= 0, and a - e_j
+    is in J_i iff every row has x_j <= s.  So a member is minimal iff each j
+    with a_j > 0 has some row with x_j > s.  Box points are valid
+    capacities, so the packing search decides I^i directly.  The minimality
+    filter only saves searches: I^i is closed upwards, so the lex-first
+    member outside it is minimal anyway.
+
+    The slacks are packed into one int, a field of `width` bits per row
+    holding half + s, half = 2^(width - 1).  With half > i max(|x|, t) + |x|
+    no field leaves [0, 2 half), even after a step x_j is taken off, so the
+    fields add and subtract independently: a is a member iff every field's
+    top bit is set, and a - e_j is one iff that still holds after
+    subtracting coordinate j's step.
     """
-    if bound < 1:
-        raise ValueError("the power bound must be positive")
-    if (bound + 1) ** c.n > max_boxes:
-        raise InstanceTooLargeError(
-            f"{(bound + 1) ** c.n} candidate exponent vectors exceed "
-            f"the limit of {max_boxes}"
-        )
-    # above[s]: bitmask of the j with x_j > s, for s below the largest x_j
-    scan = []
-    for x, t in rows:
-        mult = Counter(x)
-        above = [
-            sum(1 << j for j, m in mult.items() if m > s)
-            for s in range(max(mult.values(), default=0))
-        ]
-        scan.append((x, t, len(above), above))
+    n = c.n
     for i in range(1, bound + 1):
-        for a in product(range(i + 1), repeat=c.n):
-            tight = 0
-            for x, t, top, above in scan:
-                s = sum(map(a.__getitem__, x)) - i * t
-                if s < 0:
-                    break
-                if s < top:
-                    tight |= above[s]
-            else:
-                if all(tight >> j & 1 for j, aj in enumerate(a) if aj) and (
-                    covering._packing(c, a, i) is None
+        half = 1 << max(
+            (i * max(sum(x), t) + sum(x) for x, t in rows), default=0
+        ).bit_length()
+        width = half.bit_length()
+        top = point0 = 0
+        steps = [0] * n
+        for r, (x, t) in enumerate(rows):
+            top |= half << r * width
+            point0 += half - i * t << r * width
+            for j, xj in enumerate(x):
+                steps[j] += xj << r * width
+        # the last n - split coordinates, in lex order: each suffix b with
+        # its packed offset, whether b ends above 0, and the steps of its
+        # other nonzero coordinates
+        split = n
+        while split and (i + 1) ** (n - split + 1) <= _SUFFIX_POINTS:
+            split -= 1
+        if split == n:
+            suffixes = [((), 0, False, [])]
+        else:
+            suffixes = [((v,), v * steps[-1], v > 0, []) for v in range(i + 1)]
+        for j in reversed(range(split, n - 1)):
+            st = steps[j]
+            suffixes = [
+                ((v,) + b, v * st + offset, last, [st] + rest if v else rest)
+                for v in range(i + 1)
+                for b, offset, last, rest in suffixes
+            ]
+        for head in product(range(i + 1), repeat=split):
+            base = point0 + sum(map(mul, head, steps))
+            head_steps = [st for aj, st in zip(head, steps) if aj]
+            before = False  # whether the point just walked is a member
+            for b, offset, last, rest in suffixes:
+                point = base + offset
+                member = point & top == top
+                # when a ends above 0, a - e_(n-1) is the point just walked
+                if (
+                    member
+                    and not (last and before)
+                    and not any((point - st) & top == top for st in rest)
+                    and not any((point - st) & top == top for st in head_steps)
+                    and covering._packing(c, head + b, i) is None
                 ):
                     return PowerCertificate(
-                        certified=False, bound=bound, witness=(a, i)
+                        certified=False, bound=bound, witness=(head + b, i)
                     )
+                before = member
     return PowerCertificate(certified=True, bound=bound)
 
 
 def is_normal_bounded(
-    c: Clutter, max_power: int, max_boxes: int = 1 << 20
+    c: Clutter, max_power: int, max_boxes: int = 1 << 20, max_vertices: int = 12
 ) -> PowerCertificate:
     """I^i equals its integral closure for all i <= max_power.
 
     Enumerates the candidate box {0..i}^n (minimal closure generators have
     entries <= i because edge vectors are 0/1), keeps the minimal members of
     the closure, and checks each against the ordinary power.  The rows are
-    the vertices of Q(A), as the integer rays (x, t) of `_q_vertex_rays`.
+    the vertices of Q(A), as the integer rays (x, t) of `_q_vertex_rays`;
+    ``max_vertices`` bounds n as in `enumerate_Q_vertices`.
     """
     n = c.n
-    rows = [
-        (tuple(j for j in range(n) for _ in range(r[j])), r[n])
-        for r in _q_vertex_rays(n, c.edges)
-    ]
-    return _bounded_power_scan(c, int(max_power), rows, max_boxes)
+    bound = _guard_power_box(n, max_power, max_boxes)
+    _guard_q_size(n, max_vertices)
+    rows = [(r[:n], r[n]) for r in _q_vertex_rays(n, c.edges)]
+    return _bounded_power_scan(c, bound, rows)
 
 
 def is_ntf_bounded(
@@ -367,10 +449,21 @@ def is_ntf_bounded(
     The same scan as `is_normal_bounded` over the integral vertices of Q(A)
     only, the minimal covers C as rows (C, 1): a is in the symbolic power iff
     every cover sum is at least i, and a member is minimal iff each j with
-    a_j > 0 lies in a cover whose sum is exactly i.
+    a_j > 0 lies in a cover whose sum is exactly i.  The box guard is
+    checked before the memo.
     """
-    rows = [(cover, 1) for cover in covering.minimal_vertex_covers(c)]
-    return _bounded_power_scan(c, int(max_power), rows, max_boxes)
+    bound = _guard_power_box(c.n, max_power, max_boxes)
+    return _ntf_certificate(_Structure(c), bound)
+
+
+@lru_cache(maxsize=1024)
+def _ntf_certificate(s: _Structure, bound: int) -> PowerCertificate:
+    c = s.clutter
+    rows = [
+        (tuple(int(j in cover) for j in range(c.n)), 1)
+        for cover in covering.minimal_vertex_covers(c)
+    ]
+    return _bounded_power_scan(c, bound, rows)
 
 
 def monomial_string(c: Clutter, a, rees_degree: int = 0) -> str:

@@ -8,6 +8,7 @@ basis enumeration for polyhedra.  Only usable on tiny instances.
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import lcm
 
 
 def _edge_sets(c):
@@ -246,30 +247,31 @@ def brute_Q_vertices(c):
 
     Every vertex is the unique solution of n linearly independent tight
     constraints, so every n-subset of the q edge rows and the n coordinate
-    rows is solved exactly and the feasible solutions are kept.  Returned
-    as a lexicographically sorted tuple of Fraction tuples.
+    rows is solved exactly and the feasible solutions are kept.  A subset
+    with the coordinate rows x_i = 0, i in Z, is solved as the system of
+    its edge rows on the coordinates outside Z, which is nonsingular exactly
+    when the whole subset is.  Returned as a lexicographically sorted tuple
+    of Fraction tuples.
     """
     n = c.n
     if n == 0:
         return ((),)
-    rows = []
-    rhs = []
-    for e in c.edges:
-        rows.append([Fraction(1 if v in set(e) else 0) for v in range(n)])
-        rhs.append(Fraction(1))
-    for i in range(n):
-        rows.append([Fraction(1 if v == i else 0) for v in range(n)])
-        rhs.append(Fraction(0))
+    edges = [set(e) for e in c.edges]
     found = set()
-    for chosen in combinations(range(len(rows)), n):
-        x = _solve_dense([rows[i] for i in chosen], [rhs[i] for i in chosen])
-        if x is None:
-            continue
-        if all(
-            sum(r * v for r, v in zip(rows[i], x)) >= rhs[i]
-            for i in range(len(rows))
-        ):
-            found.add(tuple(x))
+    for k in range(n + 1):
+        for zero in combinations(range(n), k):
+            free = [v for v in range(n) if v not in zero]
+            for chosen in combinations(edges, n - k):
+                y = _solve_dense(
+                    [[int(v in e) for v in free] for e in chosen], [1] * (n - k)
+                )
+                if y is None:
+                    continue
+                x = [Fraction(0)] * n
+                for v, value in zip(free, y):
+                    x[v] = value
+                if min(x) >= 0 and all(sum(x[v] for v in e) >= 1 for e in edges):
+                    found.add(tuple(x))
     return tuple(sorted(found))
 
 
@@ -326,13 +328,17 @@ def brute_rees_cone_membership(c):
     a >= 0, b >= 0 and <a, v> >= b for every vertex v of Q(A): the edge
     vectors plus the orthant form the blocker of Q(A) (Fulkerson 1971).
     """
-    vertices = brute_Q_vertices(c)
+    # each vertex v as the integer row (L v, L), L its least common denominator
+    rows = []
+    for v in brute_Q_vertices(c):
+        scale = lcm(*(x.denominator for x in v))
+        rows.append(([int(x * scale) for x in v], scale))
 
     def contains(point):
         *a, b = point
         return (
             min(point) >= 0
-            and all(sum(x * y for x, y in zip(a, v)) >= b for v in vertices)
+            and all(sum(x * y for x, y in zip(a, v)) >= b * t for v, t in rows)
         )
 
     return contains

@@ -27,7 +27,8 @@ from clutterlab import (
     solve_lp_exact,
     symbolic_power_membership,
 )
-from clutterlab.rees import _hilbert_basis
+from clutterlab import rees
+from clutterlab.rees import _normality, _ntf_certificate
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 C4 = parse_clutter("v: x1 x2 x3 x4\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x1 x4\n")
@@ -38,6 +39,18 @@ TWO_TRIANGLES = parse_clutter(
 )
 SINGLE = make_clutter(["x1", "x2"], [["x1", "x2"]])
 PATH3 = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x2 x3\n")
+TRIANGLE_AND_POINT = parse_clutter(
+    "v: x1 x2 x3 x4\ne: x1\ne: x2 x3\ne: x2 x4\ne: x3 x4\n"
+)
+C5 = parse_clutter(
+    "v: x1 x2 x3 x4 x5\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x4 x5\ne: x1 x5\n"
+)
+
+
+def relabelled(c, prefix="y"):
+    """The same edge structure under fresh vertex labels."""
+    labels = [f"{prefix}{i}" for i in range(c.n)]
+    return make_clutter(labels, [[labels[i] for i in e] for e in c.edges])
 
 
 class TestReesCone:
@@ -134,11 +147,48 @@ class TestHilbertBasis:
         )
         assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
 
+    @pytest.mark.parametrize(
+        "c",
+        [
+            TWO_TRIANGLES,
+            parse_clutter(
+                "v: x1 x2 x3 x4\ne: x1 x2\ne: x1 x3\ne: x1 x4\ne: x2 x3 x4\n"
+            ),
+            parallelization(TRIANGLE_AND_POINT, (2, 1, 1, 1)),
+        ],
+        ids=["two-triangles", "star-and-triangle", "triangle-and-parallel-point"],
+    )
+    def test_carried_volumes_match_box_oracle(self, c, monkeypatch):
+        # the placing triangulations of these cones have simplices of volume
+        # > 1 (those of triangle and C5 parallelizations have none): each
+        # one's Hermite diagonal is checked against the volume carried
+        # through the triangulation, which raises RuntimeError on a mismatch
+        hermite_calls = []
+        original = rees.hermite_diagonal
+
+        def counted(columns):
+            hermite_calls.append(columns)
+            return original(columns)
+
+        monkeypatch.setattr(rees, "hermite_diagonal", counted)
+        cone = rees_cone(c)
+        hb = hilbert_basis(cone, max_edges=c.q)
+        assert hermite_calls
+        box = 3
+        assert all(max(el) <= box for el in hb.elements)
+        expected = oracles.brute_hilbert_basis(
+            cone.dim, oracles.brute_rees_cone_membership(c), box
+        )
+        assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
+
     def test_cache_is_bounded(self):
-        # a `verify` round over CorpusSpec(4, uniform_size=2) and the 5-vertex
-        # 2-uniform classes meets 912 distinct Rees cones; the bound keeps
-        # them all while capping memory on longer scans
-        assert _hilbert_basis.cache_info().maxsize == 1024
+        # bases are memoized through the normality verdict, keyed on the edge
+        # structure.  A `verify` round over CorpusSpec(4, uniform_size=2) and
+        # the 5-vertex 2-uniform classes meets 941 distinct structures in its
+        # normality checks and 351 in its NTF scans; the bound keeps them all
+        # while capping memory on longer scans
+        assert _normality.cache_info().maxsize == 1024
+        assert _ntf_certificate.cache_info().maxsize == 1024
 
 
 class TestPowerMembership:
@@ -247,16 +297,73 @@ class TestNormality:
         with pytest.raises(InstanceTooLargeError):
             is_ntf_bounded(TWO_TRIANGLES, 9, max_boxes=100)
 
+    def test_bounded_normality_size_guard(self):
+        # 13 vertices, one beyond the default guard shared with Q(A) vertices
+        path = make_clutter(
+            [f"x{i}" for i in range(13)],
+            [(f"x{i}", f"x{i + 1}") for i in range(12)],
+        )
+        with pytest.raises(InstanceTooLargeError, match="limited to 12 vertices"):
+            is_normal_bounded(path, 1)
+        assert is_normal_bounded(path, 1, max_vertices=13).certified
+
+    def test_relabelled_copy_gets_the_same_verdicts(self):
+        copy = relabelled(TWO_TRIANGLES)
+        assert copy != TWO_TRIANGLES
+        assert is_normal(copy, max_edges=12) == is_normal(
+            TWO_TRIANGLES, max_edges=12
+        )
+        assert is_ntf_bounded(copy, 2) == is_ntf_bounded(TWO_TRIANGLES, 2)
+        hits = _normality.cache_info().hits
+        assert is_normal(relabelled(TWO_TRIANGLES, "z"), max_edges=12).witness == (
+            (1, 1, 1, 1, 1, 1),
+            3,
+        )
+        assert _normality.cache_info().hits == hits + 1
+
+    def test_guards_hold_after_a_memo_hit(self):
+        c = TWO_TRIANGLES
+        is_normal(c, max_edges=c.q)
+        is_ntf_bounded(c, 2)
+        with pytest.raises(InstanceTooLargeError):
+            is_normal(c, max_vertices=c.n - 1, max_edges=c.q)
+        with pytest.raises(InstanceTooLargeError):
+            is_normal(c, max_edges=c.q - 1)
+        with pytest.raises(InstanceTooLargeError):
+            is_ntf_bounded(c, 2, max_boxes=3**c.n - 1)
+        with pytest.raises(ValueError):
+            is_ntf_bounded(c, 0)
+
     @settings(max_examples=30, deadline=None)
     @given(strategies.clutters(max_n=5), st.integers(min_value=1, max_value=2))
     @example(make_clutter([], []), 2)
     @example(make_clutter(["x1"], [["x1"]]), 2)
     @example(make_clutter(["x1", "x2", "x3"], [["x1"], ["x2", "x3"]]), 2)
+    # Q(A) has fractional vertices, so closure rows with t = 2, and x_j = 2
+    # on the last one; boxes of 4^6 and 4^7 points are walked as prefixes
+    # against a suffix table
+    @example(parallelization(TRIANGLE, (4, 1, 1)), 3)
+    @example(parallelization(C5, (2, 1, 1, 1, 1)), 3)
+    @example(parallelization(C5, (2, 1, 2, 1, 1)), 3)
+    @example(parallelization(TRIANGLE_AND_POINT, (3, 2, 1, 1)), 3)
+    # a Q(A) vertex row with <1, x> = 5 and t = 1: a slack field only as
+    # wide as i t would overflow into its neighbour
+    @example(
+        parse_clutter(
+            "v: x0 x1 x2 x3 x4 x5 x6\n"
+            "e: x0 x1\ne: x0 x2\ne: x0 x4\ne: x0 x5\ne: x0 x6\ne: x1 x3\ne: x2 x3\n"
+        ),
+        1,
+    )
     def test_bounded_scans_match_brute_scan(self, c, bound):
-        # same verdict and the same lex-first witness as the per-point scan
+        # same verdict and the same lex-first witness as the per-point scan;
+        # the closure of I^i is the degree-i slice of the Rees cone.  The
+        # NTF memo is cleared so that the scan itself runs
+        _ntf_certificate.cache_clear()
+        contains = oracles.brute_rees_cone_membership(c)
         for scan, member in (
             (is_ntf_bounded, oracles.brute_symbolic_membership),
-            (is_normal_bounded, oracles.brute_closure_membership),
+            (is_normal_bounded, lambda c, a, i: contains(a + (i,))),
         ):
             res = scan(c, bound)
             assert (res.certified, res.bound, res.witness) == oracles.brute_power_scan(
