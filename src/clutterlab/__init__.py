@@ -60,7 +60,6 @@ from .rees import (
     hilbert_basis,
     integral_closure_membership,
     is_normal,
-    is_normal_bounded,
     is_ntf_bounded,
     monomial_string,
     power_membership,
@@ -135,7 +134,6 @@ __all__ = [
     "hilbert_basis",
     "integral_closure_membership",
     "is_normal",
-    "is_normal_bounded",
     "is_ntf_bounded",
     "monomial_string",
     "power_membership",

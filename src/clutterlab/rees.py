@@ -3,24 +3,35 @@
 The Rees cone of a clutter lives in ZZ^(n+1): it is spanned by the edge
 characteristic vectors lifted with a final coordinate 1 (the t-degree)
 together with the n coordinate unit vectors.  The edge ideal is normal
-exactly when every element (a, b) of the cone's Hilbert basis satisfies
-x^a in I^b, which `power_membership` decides by the search `covering.packs`.
+exactly when every lattice point (a, b) of the cone lies in the semigroup S
+of the generators, that is, x^a in I^b, which `power_membership` decides by
+the search `covering.packs`.
 
-The Hilbert basis is computed exactly, in integer arithmetic only: a placing
-triangulation of the cone into simplicial subcones on generator rays,
-lattice-point enumeration of each half-open fundamental parallelepiped (via
-the Hermite-diagonal residue system), and a grading-ordered irreducibility
-sieve.  The initial simplex comes from `_linalg.independent_rows`.  Its
+Both normality and the Hilbert basis start from the same candidates, found
+exactly, in integer arithmetic only: a placing triangulation of the cone
+into simplicial subcones on generator rays, and the lattice points of each
+half-open fundamental parallelepiped (via the Hermite-diagonal residue
+system).  The initial simplex comes from `_linalg.independent_rows`.  Its
 facet normals are the columns of one adjugate, and its determinant is its
 volume.  The normals are the extreme rays of the dual cone, so each further
-generator g cuts them by <h, g> <= 0 with `_linalg.dd_step`; they double as
-the cone-membership test used by the sieve.  Simplices are bitmasks of
-generator indices, and `dd_step` keeps for each normal h the mask of the
-processed generators on h, so "sigma has a facet on h" is one bit test.
-The simplex glued onto that facet gets its volume from sigma's, and only a
-simplex of volume above 1 has lattice points to enumerate: its Hermite
-diagonal, whose product is checked against the carried volume, maps it to
-its residues through the adjugate of its rays.
+generator g cuts them by <h, g> <= 0 with `_linalg.dd_step`.  Simplices are
+bitmasks of generator indices, and `dd_step` keeps for each normal h the
+mask of the processed generators on h, so "sigma has a facet on h" is one
+bit test.  The simplex glued onto that facet gets its volume from sigma's,
+and only a simplex of volume above 1 has lattice points to enumerate: its
+Hermite diagonal, whose product is checked against the carried volume, maps
+it to its residues through the adjugate of its rays.
+
+Every lattice point of the cone is a parallelepiped point plus generators of
+its simplex, so the ideal is normal iff every candidate lies in S.
+`is_normal` tests the candidates that are not generators in (degree, lex)
+order, and its witness is the first lattice point outside S: that point is
+irreducible, and it is its own parallelepiped point, since taking a ray off
+it would leave a lower-degree point outside S.  So it is also the first
+Hilbert-basis element outside S.  When every simplex has volume 1 the
+candidates are the generators and no search is made.  `hilbert_basis` keeps
+the grading-ordered irreducibility sieve over the candidates, with the
+normals as its cone-membership test.
 
 With capacities a, x^a lies in I^i when the packing number nu_a >= i, in
 the integral closure when the fractional cover number tau*_a >= i, and in the
@@ -28,14 +39,15 @@ symbolic power when the cover number tau_a >= i.  The last two are the
 minimum of <a, v> over the vertices v of the covering polyhedron Q(A), all of
 them for tau*_a and the integral ones (the minimal covers) for tau_a.
 
-Bounded surrogates compare ordinary powers I^i against integral closures
-(`is_normal_bounded`) and symbolic powers (`is_ntf_bounded`) by enumerating
-the candidate exponent box {0..i}^n, which contains every minimal generator
-of either larger ideal because all edge vectors are 0/1.  Both share one
-scan over those vertices, as integer rows (x, t): the slacks <a, x> - i t of
-all rows are packed into the bit fields of one int, so membership and
-minimality are a few int operations per point, and each minimal generator
-is checked against I^i by the packing search.
+The bounded surrogate `is_ntf_bounded` compares ordinary powers I^i against
+symbolic powers by enumerating the candidate exponent box {0..i}^n, which
+contains every minimal generator of the symbolic power because all edge
+vectors are 0/1.  Its scan takes the covers as integer rows (x, t): the
+slacks <a, x> - i t of all rows are packed into the bit fields of one int,
+so membership and minimality are a few int operations per point, and each
+minimal generator is checked against I^i by the packing search.  Only the
+points with a_i <= a_j for twin vertices i < j, which a swap maps onto each
+other, are walked.
 
 `is_normal` and `is_ntf_bounded` keep their verdicts in bounded memos keyed
 on the edge structure (n, edges) alone, looked up once the size guards have
@@ -56,7 +68,7 @@ from ._linalg import (
     _det_adjugate, dd_step, hermite_diagonal, independent_rows, primitive,
 )
 from .core import Clutter, InstanceTooLargeError, _vertex_vector
-from .polyhedra import _guard_q_size, _q_vertex_rays, solve_lp_exact
+from .polyhedra import solve_lp_exact
 
 
 @dataclass(frozen=True, slots=True)
@@ -127,17 +139,19 @@ def _dot(h, g) -> int:
     return sum(map(mul, h, g))
 
 
-def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
+def _candidates(cone: ReesCone):
+    """(generators, facet normals, parallelepiped points) of the cone.
+
+    The generators come without repeats, in order.  The points are the
+    nonzero lattice points of the half-open fundamental parallelepipeds of
+    the placing triangulation's simplices; with the generators they contain
+    the Hilbert basis.  A cone spanned by unit vectors alone is the orthant
+    of their span: it has no points and no normals are needed.
+    """
     D = cone.dim
-    gens: list[tuple[int, ...]] = []
-    for g in cone.generators:
-        if g not in gens:
-            gens.append(g)
-    if not gens:
-        return HilbertBasis(dim=D, elements=())
+    gens = list(dict.fromkeys(cone.generators))
     if all(sum(g) == 1 for g in gens):
-        # sub-cone of the orthant spanned by unit vectors: they are the basis
-        return HilbertBasis(dim=D, elements=tuple(sorted(gens, key=_degree_lex)))
+        return gens, [], set()
 
     # initial simplex: lexicographically first maximal independent generators
     chosen = independent_rows(
@@ -186,7 +200,7 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
 
     # lattice points of each half-open fundamental parallelepiped; a simplex
     # of volume 1 holds none but its apex
-    candidates: set[tuple[int, ...]] = set(gens)
+    points: set[tuple[int, ...]] = set()
     for sigma, volume in simplices.items():
         if volume == 1:
             continue
@@ -207,11 +221,16 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
                 for row in range(D)
             )
             if any(point):
-                candidates.add(point)
+                points.add(point)
+    return gens, normals, points
 
-    # grading sieve: accept exactly the irreducible lattice points
+
+def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
+    gens, normals, points = _candidates(cone)
+    # grading sieve: accept exactly the irreducible lattice points.  A unit
+    # vector cone has no normals, and no unit vector reduces another
     accepted: list[tuple[int, ...]] = []
-    for z in sorted(candidates, key=_degree_lex):
+    for z in sorted(points.union(gens), key=_degree_lex):
         reducible = False
         for b in accepted:
             diff = tuple(x - y for x, y in zip(z, b))
@@ -222,7 +241,7 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
                 break
         if not reducible:
             accepted.append(z)
-    return HilbertBasis(dim=D, elements=tuple(accepted))
+    return HilbertBasis(dim=cone.dim, elements=tuple(accepted))
 
 
 def power_membership(c: Clutter, a, i) -> bool:
@@ -267,8 +286,10 @@ def symbolic_power_membership(c: Clutter, a, i) -> bool:
 class NormalityVerdict:
     """Outcome of the exact normality decision.
 
-    When not normal, ``witness`` is the Hilbert-basis element (a, b) whose
-    monomial x^a t^b lies in the integral closure of I^b but not in I^b.
+    When not normal, ``witness`` is the (degree, lex)-first lattice point
+    (a, b) of the Rees cone whose monomial x^a t^b lies in the integral
+    closure of I^b but not in I^b.  It is also the first Hilbert-basis
+    element with that property.
     """
 
     normal: bool
@@ -299,11 +320,13 @@ class _Structure:
 def is_normal(
     c: Clutter, max_vertices: int = 8, max_edges: int = 24
 ) -> NormalityVerdict:
-    """Exact normality of the edge ideal via the Hilbert-basis criterion.
+    """Exact normality of the edge ideal from the parallelepiped candidates.
 
-    The ideal is normal iff every Hilbert-basis element of the Rees cone
-    already lies in the semigroup generated by the lifted edges and unit
-    vectors; the first failure (in basis order) is returned as a witness.
+    The ideal is normal iff every lattice point of the Rees cone lies in the
+    semigroup generated by the lifted edges and unit vectors, and it suffices
+    to test the parallelepiped points of the triangulation.  They are tested
+    in (degree, lex) order with no Hilbert-basis sieve; the first failure is
+    returned as the witness, the same as the first failing basis element.
     The size guard is that of `hilbert_basis`, checked before the memo.
     """
     _guard_hilbert_size(c.n, c.q, max_vertices, max_edges)
@@ -313,7 +336,8 @@ def is_normal(
 @lru_cache(maxsize=1024)
 def _normality(s: _Structure) -> NormalityVerdict:
     c = s.clutter
-    for element in _hilbert_basis(rees_cone(c)).elements:
+    gens, _, points = _candidates(rees_cone(c))
+    for element in sorted(points.difference(gens), key=_degree_lex):
         a, b = element[: c.n], element[c.n]
         if not power_membership(c, a, b):
             return NormalityVerdict(normal=False, witness=(a, b))
@@ -351,18 +375,80 @@ def _guard_power_box(n: int, max_power, max_boxes: int) -> int:
 _SUFFIX_POINTS = 1024
 
 
+def _earlier_twins(n: int, edges) -> list[int]:
+    """The nearest twin i < j of each vertex j, or -1 when it has none.
+
+    Vertices i and j are twins when swapping them maps edges to edges, that
+    is, when every edge holding just one of them is matched by the edge that
+    holds the other instead.  Twins are an equivalence (the swap (i k) is
+    (j k)(i j)(j k)), and each copy a parallelization makes is a twin of its
+    original.  Read off the edges alone, so the twins are label-free.
+    """
+    masks = {sum(1 << v for v in e) for e in edges}
+    earlier = [-1] * n
+    for j in range(n):
+        for i in reversed(range(j)):
+            both = 1 << i | 1 << j
+            if all((m & both) in (0, both) or m ^ both in masks for m in masks):
+                earlier[j] = i
+                break
+    return earlier
+
+
+def _suffix_table(i, split, steps, earlier, low):
+    """The suffixes b of the twin-reduced walk over the last n - split
+    coordinates, in lex order, each as (b, packed offset, whether b ends
+    above its lower bound, the steps of its coordinates to test).
+
+    ``low`` holds one lower bound per suffix coordinate, the head's value at
+    its earlier twin (0 when that twin is not in the head), and each
+    coordinate runs from it to i; a coordinate whose earlier twin is in the
+    suffix too stays at or above that twin's value.  The steps to test are
+    those of the nonzero coordinates but the last, whose a - e_(n-1) is the
+    point walked just before when b ends above its lower bound, and is tested
+    like the others when it does not.
+    """
+    n = len(steps)
+    if split == n:
+        return [((), 0, False, [])]
+    table = [((v,), v * steps[-1], []) for v in range(low[-1], i + 1)]
+    for j in reversed(range(split, n - 1)):
+        st = steps[j]
+        later = next((k - j - 1 for k in range(j + 1, n) if earlier[k] == j), None)
+        table = [
+            ((v,) + b, v * st + offset, [st] + rest if v else rest)
+            for v in range(low[j - split], i + 1)
+            for b, offset, rest in table
+            if later is None or b[later] >= v
+        ]
+    twin = earlier[-1] - split
+    suffixes = []
+    for b, offset, rest in table:
+        last = b[-1] > (b[twin] if twin >= 0 else low[-1])
+        if b[-1] and not last:
+            rest = rest + [steps[-1]]
+        suffixes.append((b, offset, last, rest))
+    return suffixes
+
+
 def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
     """Check the minimal generators of J_i = {a : <a, x> >= i t for every row
     (x, t)} in the box {0..i}^n against I^i, for i = 1..bound in order; the
     first failure is the lex-first witness.
 
-    Each row is an integer pair (x, t), t > 0, with x a vector of length n.
-    With slack s = <a, x> - i t, a is in J_i iff every s >= 0, and a - e_j
-    is in J_i iff every row has x_j <= s.  So a member is minimal iff each j
-    with a_j > 0 has some row with x_j > s.  Box points are valid
-    capacities, so the packing search decides I^i directly.  The minimality
-    filter only saves searches: I^i is closed upwards, so the lex-first
-    member outside it is minimal anyway.
+    Each row is an integer pair (x, t), t > 0, with x a vector of length n,
+    and a swap of twin vertices permutes the rows (the minimal covers, or the
+    vertices of Q(A)).  With slack s = <a, x> - i t, a is in J_i iff every
+    s >= 0, and a - e_j is in J_i iff every row has x_j <= s.  So a member
+    is minimal iff each j with a_j > 0 has some row with x_j > s.  Box points
+    are valid capacities, so the packing search decides I^i directly.  The
+    minimality filter only saves searches: I^i is closed upwards, so the
+    lex-first member outside it is minimal anyway.
+
+    A swap of twins i < j maps members to members and I^i to itself, so it
+    keeps the failing set; on a point with a_i > a_j it gives a lex-smaller
+    one.  So only the points with a_i <= a_j for each vertex j and its
+    nearest earlier twin i are walked, which finds the same witness.
 
     The slacks are packed into one int, a field of `width` bits per row
     holding half + s, half = 2^(width - 1).  With half > i max(|x|, t) + |x|
@@ -372,6 +458,7 @@ def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
     subtracting coordinate j's step.
     """
     n = c.n
+    earlier = _earlier_twins(n, c.edges)
     for i in range(1, bound + 1):
         half = 1 << max(
             (i * max(sum(x), t) + sum(x) for x, t in rows), default=0
@@ -384,31 +471,28 @@ def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
             point0 += half - i * t << r * width
             for j, xj in enumerate(x):
                 steps[j] += xj << r * width
-        # the last n - split coordinates, in lex order: each suffix b with
-        # its packed offset, whether b ends above 0, and the steps of its
-        # other nonzero coordinates
+        # the last n - split coordinates come from a suffix table, one for
+        # each tuple of lower bounds that the head sets on them
         split = n
         while split and (i + 1) ** (n - split + 1) <= _SUFFIX_POINTS:
             split -= 1
-        if split == n:
-            suffixes = [((), 0, False, [])]
-        else:
-            suffixes = [((v,), v * steps[-1], v > 0, []) for v in range(i + 1)]
-        for j in reversed(range(split, n - 1)):
-            st = steps[j]
-            suffixes = [
-                ((v,) + b, v * st + offset, last, [st] + rest if v else rest)
-                for v in range(i + 1)
-                for b, offset, last, rest in suffixes
-            ]
+        head_twins = [(p, j) for j, p in enumerate(earlier[:split]) if p >= 0]
+        tables = {}
         for head in product(range(i + 1), repeat=split):
+            if any(head[p] > head[j] for p, j in head_twins):
+                continue
+            low = tuple(head[p] if 0 <= p < split else 0 for p in earlier[split:])
+            suffixes = tables.get(low)
+            if suffixes is None:
+                suffixes = tables[low] = _suffix_table(i, split, steps, earlier, low)
             base = point0 + sum(map(mul, head, steps))
             head_steps = [st for aj, st in zip(head, steps) if aj]
             before = False  # whether the point just walked is a member
             for b, offset, last, rest in suffixes:
                 point = base + offset
                 member = point & top == top
-                # when a ends above 0, a - e_(n-1) is the point just walked
+                # when a ends above its lower bound, a - e_(n-1) is the
+                # point just walked
                 if (
                     member
                     and not (last and before)
@@ -423,34 +507,15 @@ def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
     return PowerCertificate(certified=True, bound=bound)
 
 
-def is_normal_bounded(
-    c: Clutter, max_power: int, max_boxes: int = 1 << 20, max_vertices: int = 12
-) -> PowerCertificate:
-    """I^i equals its integral closure for all i <= max_power.
-
-    Enumerates the candidate box {0..i}^n (minimal closure generators have
-    entries <= i because edge vectors are 0/1), keeps the minimal members of
-    the closure, and checks each against the ordinary power.  The rows are
-    the vertices of Q(A), as the integer rays (x, t) of `_q_vertex_rays`;
-    ``max_vertices`` bounds n as in `enumerate_Q_vertices`.
-    """
-    n = c.n
-    bound = _guard_power_box(n, max_power, max_boxes)
-    _guard_q_size(n, max_vertices)
-    rows = [(r[:n], r[n]) for r in _q_vertex_rays(n, c.edges)]
-    return _bounded_power_scan(c, bound, rows)
-
-
 def is_ntf_bounded(
     c: Clutter, max_power: int, max_boxes: int = 1 << 20
 ) -> PowerCertificate:
     """I^i equals the i-th symbolic power for all i <= max_power.
 
-    The same scan as `is_normal_bounded` over the integral vertices of Q(A)
-    only, the minimal covers C as rows (C, 1): a is in the symbolic power iff
-    every cover sum is at least i, and a member is minimal iff each j with
-    a_j > 0 lies in a cover whose sum is exactly i.  The box guard is
-    checked before the memo.
+    The bounded power scan over the integral vertices of Q(A), the minimal
+    covers C, as rows (C, 1): a is in the symbolic power iff every cover sum
+    is at least i, and a member is minimal iff each j with a_j > 0 lies in a
+    cover whose sum is exactly i.  The box guard is checked before the memo.
     """
     bound = _guard_power_box(c.n, max_power, max_boxes)
     return _ntf_certificate(_Structure(c), bound)

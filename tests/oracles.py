@@ -4,11 +4,18 @@ Everything here is written from the definitions, with no shared code paths
 into the package beyond plain data access (vertex labels and edge index
 tuples).  Deliberately naive: exhaustive subset scans, dense matrices,
 basis enumeration for polyhedra.  Only usable on tiny instances.
+
+The one exception is `is_normal_bounded`, a bounded second route to
+normality that runs the package's packed power scan over the closure rows,
+so that the tests reach the scan with rows other than the minimal covers.
 """
 
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import lcm
+
+from clutterlab.polyhedra import _q_vertex_rays
+from clutterlab.rees import _bounded_power_scan
 
 
 def _edge_sets(c):
@@ -207,6 +214,21 @@ def brute_power_scan(c, bound, member):
             if not brute_power_membership(c, a, i):
                 return False, bound, (a, i)
     return True, bound, None
+
+
+def is_normal_bounded(c, max_power):
+    """I^i equals its integral closure for all i <= max_power, as a
+    `PowerCertificate` with the lex-first witness.
+
+    The scan of `rees.is_ntf_bounded`, over the vertices of Q(A) as integer
+    rows (x, t) in place of the minimal covers: minimal closure generators
+    have entries <= i because edge vectors are 0/1.  Fractional vertices give
+    rows with t > 1 and entries above 1, which the packed slack fields must
+    hold too.
+    """
+    n = c.n
+    rows = [(r[:n], r[n]) for r in _q_vertex_rays(n, c.edges)]
+    return _bounded_power_scan(c, max_power, rows)
 
 
 def brute_determinant(matrix):

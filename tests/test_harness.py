@@ -31,7 +31,6 @@ from clutterlab import (
     is_cohen_macaulay,
     is_ideal_clutter,
     is_normal,
-    is_normal_bounded,
     isomorphism_key,
     make_clutter,
     parallelization,
@@ -239,7 +238,6 @@ class TestGuardDefaults:
             (is_cohen_macaulay, "max_vertices", "cm_max_vertices"),
             (is_ideal_clutter, "max_vertices", "ideal_max_vertices"),
             (solve_lp_exact, "max_vertices", "ideal_max_vertices"),
-            (is_normal_bounded, "max_vertices", "ideal_max_vertices"),
             (hilbert_basis, "max_vertices", "hilbert_max_vertices"),
             (hilbert_basis, "max_edges", "hilbert_max_edges"),
             (is_normal, "max_vertices", "hilbert_max_vertices"),

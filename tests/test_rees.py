@@ -1,5 +1,7 @@
 """Rees cones, Hilbert bases, normality, and bounded power membership."""
 
+from itertools import product
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,6 @@ from clutterlab import (
     integral_closure_membership,
     is_ideal_clutter,
     is_normal,
-    is_normal_bounded,
     is_ntf_bounded,
     make_clutter,
     monomial_string,
@@ -28,7 +29,7 @@ from clutterlab import (
     symbolic_power_membership,
 )
 from clutterlab import rees
-from clutterlab.rees import _normality, _ntf_certificate
+from clutterlab.rees import _earlier_twins, _normality, _ntf_certificate
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 C4 = parse_clutter("v: x1 x2 x3 x4\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x1 x4\n")
@@ -44,6 +45,14 @@ TRIANGLE_AND_POINT = parse_clutter(
 )
 C5 = parse_clutter(
     "v: x1 x2 x3 x4 x5\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x4 x5\ne: x1 x5\n"
+)
+K4 = parse_clutter(
+    "v: x1 x2 x3 x4\ne: x1 x2\ne: x1 x3\ne: x1 x4\ne: x2 x3\ne: x2 x4\ne: x3 x4\n"
+)
+# the four triangles of K4, on its six edges as vertices
+Q6 = parse_clutter(
+    "v: x12 x13 x14 x23 x24 x34\n"
+    "e: x12 x13 x23\ne: x12 x14 x24\ne: x13 x14 x34\ne: x23 x24 x34\n"
 )
 
 
@@ -182,11 +191,11 @@ class TestHilbertBasis:
         assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
 
     def test_cache_is_bounded(self):
-        # bases are memoized through the normality verdict, keyed on the edge
-        # structure.  A `verify` round over CorpusSpec(4, uniform_size=2) and
-        # the 5-vertex 2-uniform classes meets 941 distinct structures in its
-        # normality checks and 351 in its NTF scans; the bound keeps them all
-        # while capping memory on longer scans
+        # verdicts are memoized, keyed on the edge structure.  A `verify`
+        # round over CorpusSpec(4, uniform_size=2) and the 5-vertex 2-uniform
+        # classes meets 941 distinct structures in its normality checks and
+        # 351 in its NTF scans; the bound keeps them all while capping memory
+        # on longer scans
         assert _normality.cache_info().maxsize == 1024
         assert _ntf_certificate.cache_info().maxsize == 1024
 
@@ -279,33 +288,75 @@ class TestNormality:
         assert oracles.brute_rees_cone_membership(TWO_TRIANGLES)(a + (b,))
 
     def test_bounded_normality(self):
-        res = is_normal_bounded(TRIANGLE, 3)
+        res = oracles.is_normal_bounded(TRIANGLE, 3)
         assert res.certified
         assert res.bound == 3
-        res = is_normal_bounded(TWO_TRIANGLES, 3)
+        res = oracles.is_normal_bounded(TWO_TRIANGLES, 3)
         assert not res.certified
         assert res.witness == ((1, 1, 1, 1, 1, 1), 3)
 
+    @staticmethod
+    def first_failing_basis_element(c):
+        """The first Hilbert-basis element (a, b), in basis order, with x^a
+        outside I^b, by the sieved basis and the multiset oracle."""
+        cone = rees_cone(c)
+        for element in hilbert_basis(cone, max_vertices=c.n, max_edges=c.q).elements:
+            a, b = element[: c.n], element[c.n]
+            if not oracles.brute_power_membership(c, a, b):
+                return a, b
+        return None
+
+    @settings(max_examples=40, deadline=None)
+    @given(strategies.clutters())
+    @example(TWO_TRIANGLES)
+    @example(Q6)
+    def test_first_failing_candidate_is_first_failing_basis_element(self, c):
+        # normality scans the parallelepiped candidates with no sieve; the
+        # witness must be the one the Hilbert basis gives
+        _normality.cache_clear()
+        verdict = is_normal(c, max_vertices=c.n, max_edges=c.q)
+        assert verdict.witness == self.first_failing_basis_element(c)
+        assert verdict.normal == (verdict.witness is None)
+
+    @pytest.mark.parametrize(
+        "w", [w for w in product((1, 2), repeat=6) if sum(w) <= 9]
+    )
+    def test_q6_parallelizations_fail_at_the_first_basis_element(self, w):
+        # {1,2}^6 weights with at most three 2s, up to 9 vertices and 13 edges
+        c = parallelization(Q6, w)
+        _normality.cache_clear()
+        verdict = is_normal(c, max_vertices=c.n, max_edges=c.q)
+        assert not verdict.normal
+        assert verdict.witness == self.first_failing_basis_element(c)
+
+    def test_q6_not_normal(self):
+        _normality.cache_clear()
+        assert is_normal(Q6).witness == ((1, 1, 1, 1, 1, 1), 2)
+
     def test_bounded_ntf(self):
+        _ntf_certificate.cache_clear()
         res = is_ntf_bounded(TRIANGLE, 2)
         assert not res.certified
         assert res.witness == ((1, 1, 1), 2)
         assert is_ntf_bounded(C4, 2).certified
         assert is_ntf_bounded(SINGLE, 3).certified
+        # witnesses on twin constraints: a_2 of (1, 1, 1) is at its lower
+        # bound a_1, so (1, 1, 0) is not the point walked just before it; and
+        # a_0 < a_1 for the twins 0, 1 here
+        res = is_ntf_bounded(parallelization(C5, (2, 1, 1, 1, 1)), 3)
+        assert res.witness == ((0, 1, 1, 1, 1, 1), 3)
+
+    def test_twins(self):
+        # each copy is a twin of its original; the 5-cycle has no twins, and
+        # every vertex of K4 is a twin of every other
+        assert _earlier_twins(C5.n, C5.edges) == [-1] * 5
+        assert _earlier_twins(K4.n, K4.edges) == [-1, 0, 1, 2]
+        c = parallelization(C5, (2, 1, 3, 1, 1))
+        assert _earlier_twins(c.n, c.edges) == [-1, 0, -1, -1, 3, 4, -1, -1]
 
     def test_box_guard(self):
         with pytest.raises(InstanceTooLargeError):
             is_ntf_bounded(TWO_TRIANGLES, 9, max_boxes=100)
-
-    def test_bounded_normality_size_guard(self):
-        # 13 vertices, one beyond the default guard shared with Q(A) vertices
-        path = make_clutter(
-            [f"x{i}" for i in range(13)],
-            [(f"x{i}", f"x{i + 1}") for i in range(12)],
-        )
-        with pytest.raises(InstanceTooLargeError, match="limited to 12 vertices"):
-            is_normal_bounded(path, 1)
-        assert is_normal_bounded(path, 1, max_vertices=13).certified
 
     def test_relabelled_copy_gets_the_same_verdicts(self):
         copy = relabelled(TWO_TRIANGLES)
@@ -339,11 +390,14 @@ class TestNormality:
     @example(make_clutter([], []), 2)
     @example(make_clutter(["x1"], [["x1"]]), 2)
     @example(make_clutter(["x1", "x2", "x3"], [["x1"], ["x2", "x3"]]), 2)
+    # NTF witnesses on twin constraints: ((1, 1, 1), 2) ends at its lower
+    # bound a_1, and ((0, 1, 1, 1, 1, 1), 3) has a_0 < a_1 for the twins 0, 1
+    @example(TRIANGLE, 2)
+    @example(parallelization(C5, (2, 1, 1, 1, 1)), 3)
     # Q(A) has fractional vertices, so closure rows with t = 2, and x_j = 2
     # on the last one; boxes of 4^6 and 4^7 points are walked as prefixes
     # against a suffix table
     @example(parallelization(TRIANGLE, (4, 1, 1)), 3)
-    @example(parallelization(C5, (2, 1, 1, 1, 1)), 3)
     @example(parallelization(C5, (2, 1, 2, 1, 1)), 3)
     @example(parallelization(TRIANGLE_AND_POINT, (3, 2, 1, 1)), 3)
     # a Q(A) vertex row with <1, x> = 5 and t = 1: a slack field only as
@@ -363,7 +417,7 @@ class TestNormality:
         contains = oracles.brute_rees_cone_membership(c)
         for scan, member in (
             (is_ntf_bounded, oracles.brute_symbolic_membership),
-            (is_normal_bounded, lambda c, a, i: contains(a + (i,))),
+            (oracles.is_normal_bounded, lambda c, a, i: contains(a + (i,))),
         ):
             res = scan(c, bound)
             assert (res.certified, res.bound, res.witness) == oracles.brute_power_scan(
@@ -379,9 +433,11 @@ class TestNormality:
         # one-way theorems at k = 2.  Symbolic powers of a square-free
         # monomial ideal are integrally closed, so I^i = I^(i) forces
         # I^i = closure(I^i); integral Q(A) gives I^(i) = closure(I^i)
+        _ntf_certificate.cache_clear()
+        _normality.cache_clear()
         for c in enumerate_clutters(spec):
             ntf = is_ntf_bounded(c, 2).certified
-            normal_k = is_normal_bounded(c, 2).certified
+            normal_k = oracles.is_normal_bounded(c, 2).certified
             text = serialize_clutter(c)
             assert not ntf or normal_k, text
             assert not (is_ideal_clutter(c).ideal and normal_k) or ntf, text
