@@ -351,6 +351,26 @@ def _vertex_vector(c: Clutter, values, what: str = "weights") -> tuple[int, ...]
     return vec
 
 
+def _earlier_twins(n: int, edges) -> list[int]:
+    """The nearest twin i < j of each vertex j, or -1 when it has none.
+
+    Vertices i and j are twins when swapping them maps edges to edges, that
+    is, when every edge holding just one of them is matched by the edge that
+    holds the other instead.  Twins are an equivalence (the swap (i k) is
+    (j k)(i j)(j k)), and each copy a parallelization makes is a twin of its
+    original.  Read off the edges alone, so the twins are label-free.
+    """
+    masks = {sum(1 << v for v in e) for e in edges}
+    earlier = [-1] * n
+    for j in range(n):
+        for i in reversed(range(j)):
+            both = 1 << i | 1 << j
+            if all((m & both) in (0, both) or m ^ both in masks for m in masks):
+                earlier[j] = i
+                break
+    return earlier
+
+
 def parallelization(c: Clutter, weights) -> Clutter:
     """Replace vertex i by w_i parallel copies (w_i = 0 deletes it).
 

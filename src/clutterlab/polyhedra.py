@@ -10,28 +10,33 @@ and a weight vector w, the two dual programs of interest are
     packing:   max <y, 1>   subject to  y >= 0,  A y <= w
 
 whose common optimal value tau*_w satisfies nu_w <= tau*_w <= tau_w, the
-integer packing and cover numbers.  The integer values come from exact
-searches: `covering.packs` decides nu_w >= k, `solve_packing_ilp` counts
-nu_w with the same search, and `covering.weighted_cover_number` gives
-tau_w.  `mfmc_bounded` needs only those.
+integer packing and cover numbers.  tau_w is the least weight of a minimal
+cover, and the packing search `covering._packing` decides nu_w >= k;
+`solve_packing_ilp` counts nu_w with it.  `mfmc_bounded` tests tau_w = nu_w
+over the weight box {0..W}^n, walking only the weights sorted within each
+class of twin vertices, carrying the cover weights down the walk and
+reusing the last packing found before it searches.
+
 Q(A) = {x >= 0 : x A >= 1} is the covering polyhedron; the clutter is ideal
 when Q(A) has integral vertices only.  Its vertices are listed by the double
 description method (Motzkin et al. 1953; Fukuda and Prodon 1996) on the
-homogenised cone, one `_linalg.dd_step` per edge in integer arithmetic.
-`enumerate_Q_vertices` returns them, `is_ideal_clutter` checks the integral
-ones against the minimal covers, and `solve_lp_exact` reads tau*_w off them
-as the least <w, v>, since w >= 0 makes the covering optimum a vertex.
+homogenised cone, one `_linalg.dd_step` per edge in integer arithmetic, as
+primitive rays (x, t) with vertex x / t.  `is_ideal_clutter` reads the
+verdict off them (integral iff t = 1) and checks the integral ones against
+the minimal covers, `solve_lp_exact` reads tau*_w off them as the least
+<w, x> / t, since w >= 0 makes the covering optimum a vertex, and
+`enumerate_Q_vertices` returns them all as Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from operator import le
 
 from . import covering
 from ._linalg import dd_step
-from .core import Clutter, InstanceTooLargeError, _vertex_vector
+from .core import Clutter, InstanceTooLargeError, _earlier_twins, _vertex_vector
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,26 +144,28 @@ class IdealVerdict:
 def is_ideal_clutter(c: Clutter, max_vertices: int = 12) -> IdealVerdict:
     """Ideal = the covering polyhedron has integral vertices only.
 
-    Also cross-checks that the integral vertices are exactly the
+    Read off the primitive rays (x, t) of `_q_vertex_rays`: the vertex x / t
+    is integral iff t = 1, since gcd(x, t) = 1.  The witness is the
+    lexicographically least fractional vertex, the only one built in
+    Fractions.  Also cross-checks that the integral vertices are exactly the
     characteristic vectors of the minimal vertex covers; a mismatch would
     mean an implementation bug and raises RuntimeError.
     """
-    qset = enumerate_Q_vertices(c, max_vertices=max_vertices)
-    integral = set()
-    fractional = []
-    for v, flag in zip(qset.vertices, qset.integral_flags()):
-        if flag:
-            integral.add(tuple(int(x) for x in v))
-        else:
-            fractional.append(v)
+    n = c.n
+    _guard_q_size(n, max_vertices)
+    rays = _q_vertex_rays(n, c.edges)
+    integral = {r[:n] for r in rays if r[n] == 1}
     cover_sets = map(frozenset, covering.minimal_vertex_covers(c))
-    cover_vectors = {tuple(int(i in s) for i in range(c.n)) for s in cover_sets}
+    cover_vectors = {tuple(int(i in s) for i in range(n)) for s in cover_sets}
     if integral != cover_vectors:
         raise RuntimeError(
             "integral Q(A) vertices disagree with the minimal-cover family"
         )
+    fractional = [
+        tuple(Fraction(xi, r[n]) for xi in r[:n]) for r in rays if r[n] != 1
+    ]
     if fractional:
-        return IdealVerdict(ideal=False, fractional_witness=fractional[0])
+        return IdealVerdict(ideal=False, fractional_witness=min(fractional))
     return IdealVerdict(ideal=True)
 
 
@@ -182,27 +189,90 @@ def mfmc_bounded(
 ) -> MfmcVerdict:
     """Check cover number tau_w == packing number nu_w for all w in {0..W}^n.
 
-    Weights are scanned in lexicographic order, so a failure reports the
-    first counterexample.  Since nu_w <= tau_w, w passes once the packing
-    search finds tau_w edges.  Otherwise `solve_packing_ilp` counts nu_w for
-    that w alone, the witness's ``packing_value``, which is below tau_w.
+    A failure reports the lexicographically first counterexample w, its
+    ``cover_value`` tau_w and its ``packing_value`` nu_w, counted for that
+    w alone by `solve_packing_ilp`.  The guard counts the whole box.
+
+    The walk visits, in lex order, only the w with w_i <= w_j for each
+    vertex j and its nearest earlier twin i (`core._earlier_twins`).  A
+    swap of twins is an automorphism of the clutter, so it keeps tau_w and
+    nu_w and with them the failing set; on a failing w with w_i > w_j it
+    gives a lex-smaller failing w.  So the lex-first failing w is walked.
+    Twin classes carry their full symmetric group, so every w is a swap
+    image of a walked one, and no walked failure means none in the box.
+
+    Each minimal cover's weight is carried down the coordinates, so tau_w
+    is the least of them at the leaf.  Since nu_w <= tau_w, w passes once
+    tau_w edges fit under it.  The last packing found is tried first: it
+    passes w when its load fits under w and it has tau_w edges, or when it
+    has tau_w - 1 and one more edge fits under w minus its load.  Only
+    otherwise does the packing search (`covering._packing`) run.
     """
     if max_weight < 1:
         raise ValueError("the weight bound must be positive")
-    boxes = (max_weight + 1) ** c.n
+    n = c.n
+    boxes = (max_weight + 1) ** n
     if boxes > max_boxes:
         raise InstanceTooLargeError(
             f"{boxes} weight boxes exceed the limit of {max_boxes}"
         )
-    for w in product(range(max_weight + 1), repeat=c.n):
-        cover_value = covering.weighted_cover_number(c, w)
-        if covering.packs(c, w, cover_value):
-            continue
-        return MfmcVerdict(
-            certified=False,
-            bound=max_weight,
-            witness_weights=w,
-            cover_value=cover_value,
-            packing_value=solve_packing_ilp(c, w).value,
-        )
-    return MfmcVerdict(certified=True, bound=max_weight)
+    edges = c.edges
+    earlier = _earlier_twins(n, edges)
+    covers = covering.minimal_vertex_covers(c)
+    holding = [[k for k, cover in enumerate(covers) if j in cover] for j in range(n)]
+    w = [0] * n
+    load = [0] * n  # of the last packing found
+    size = 0  # its number of edges
+
+    def passes(tau: int) -> bool:
+        nonlocal load, size
+        if all(map(le, load, w)):
+            if size >= tau:
+                return True
+            if size + 1 == tau:
+                for e in edges:
+                    if all(w[i] > load[i] for i in e):
+                        for i in e:
+                            load[i] += 1
+                        size = tau
+                        return True
+        found = covering._packing(c, w, tau)
+        if found is None:
+            return False
+        load, size = [0] * n, tau
+        for j in found:
+            for i in edges[j]:
+                load[i] += 1
+        return True
+
+    def failing_tau(j: int, sums: list[int]) -> int | None:
+        """tau_w of the first failing walked w with w_0..w_(j-1) as set,
+        leaving it in w; None when there is none."""
+        if j == n:
+            tau = min(sums)
+            return None if passes(tau) else tau
+        low = w[earlier[j]] if earlier[j] >= 0 else 0
+        mine = holding[j]
+        sums = sums[:]
+        for k in mine:
+            sums[k] += low
+        for v in range(low, max_weight + 1):
+            w[j] = v
+            tau = failing_tau(j + 1, sums)
+            if tau is not None:
+                return tau
+            for k in mine:
+                sums[k] += 1
+        return None
+
+    cover_value = failing_tau(0, [0] * len(covers))
+    if cover_value is None:
+        return MfmcVerdict(certified=True, bound=max_weight)
+    witness = tuple(w)
+    return MfmcVerdict(
+        certified=False,
+        bound=max_weight,
+        witness_weights=witness,
+        cover_value=cover_value,
+        packing_value=solve_packing_ilp(c, witness).value,
+    )

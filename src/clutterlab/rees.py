@@ -67,7 +67,7 @@ from . import covering
 from ._linalg import (
     _det_adjugate, dd_step, hermite_diagonal, independent_rows, primitive,
 )
-from .core import Clutter, InstanceTooLargeError, _vertex_vector
+from .core import Clutter, InstanceTooLargeError, _earlier_twins, _vertex_vector
 from .polyhedra import solve_lp_exact
 
 
@@ -373,26 +373,6 @@ def _guard_power_box(n: int, max_power, max_boxes: int) -> int:
 # the last coordinates of the box are walked from a table of at most this
 # many points, the first ones as prefixes against it
 _SUFFIX_POINTS = 1024
-
-
-def _earlier_twins(n: int, edges) -> list[int]:
-    """The nearest twin i < j of each vertex j, or -1 when it has none.
-
-    Vertices i and j are twins when swapping them maps edges to edges, that
-    is, when every edge holding just one of them is matched by the edge that
-    holds the other instead.  Twins are an equivalence (the swap (i k) is
-    (j k)(i j)(j k)), and each copy a parallelization makes is a twin of its
-    original.  Read off the edges alone, so the twins are label-free.
-    """
-    masks = {sum(1 << v for v in e) for e in edges}
-    earlier = [-1] * n
-    for j in range(n):
-        for i in reversed(range(j)):
-            both = 1 << i | 1 << j
-            if all((m & both) in (0, both) or m ^ both in masks for m in masks):
-                earlier[j] = i
-                break
-    return earlier
 
 
 def _suffix_table(i, split, steps, earlier, low):

@@ -104,6 +104,16 @@ def brute_max_packing(c, weights):
     return best
 
 
+def brute_mfmc_box(c, max_weight):
+    """The first w of {0..W}^n, in lex order, with tau_w != nu_w, as
+    (w, tau_w, nu_w); None when the whole box has tau_w == nu_w."""
+    for w in product(range(max_weight + 1), repeat=c.n):
+        tau, nu = brute_weighted_cover(c, w), brute_max_packing(c, w)
+        if tau != nu:
+            return w, tau, nu
+    return None
+
+
 def brute_konig(c):
     return brute_covering_number(c) == brute_matching_number(c)
 

@@ -11,6 +11,9 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from clutterlab import (
+    IdealVerdict,
+    InstanceTooLargeError,
+    MfmcVerdict,
     covering_number,
     enumerate_Q_vertices,
     graft,
@@ -20,6 +23,7 @@ from clutterlab import (
     matching_number,
     mfmc_bounded,
     packs,
+    parallelization,
     parse_clutter,
     solve_lp_exact,
     solve_packing_ilp,
@@ -37,6 +41,10 @@ TWO_TRIANGLES = parse_clutter(
 )
 SINGLETON_AND_TRIANGLE = parse_clutter(
     "v: x1 x2 x3 x4\ne: x1\ne: x2 x3\ne: x2 x4\ne: x3 x4\n"
+)
+K4 = parse_clutter(
+    "v: x1 x2 x3 x4\n"
+    "e: x1 x2\ne: x1 x3\ne: x1 x4\ne: x2 x3\ne: x2 x4\ne: x3 x4\n"
 )
 K33 = parse_clutter(
     "v: a1 a2 a3 b1 b2 b3\n"
@@ -176,6 +184,24 @@ class TestQVertices:
         assert not verdict.ideal
         assert verdict.fractional_witness == (F(1, 2),) * 8
 
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.clutters(max_n=6, max_q=7))
+    @example(C5)
+    @example(SINGLETON_AND_TRIANGLE)
+    def test_witness_is_the_first_fractional_vertex(self, c):
+        # the verdict read off the rays equals the one read off the sorted
+        # vertex list: its first non-integral vertex, if any
+        vs = enumerate_Q_vertices(c)
+        fractional = [
+            v for v, flag in zip(vs.vertices, vs.integral_flags()) if not flag
+        ]
+        expected = (
+            IdealVerdict(ideal=False, fractional_witness=fractional[0])
+            if fractional
+            else IdealVerdict(ideal=True)
+        )
+        assert is_ideal_clutter(c) == expected
+
     def test_c5_has_one_fractional_vertex(self):
         vs = enumerate_Q_vertices(C5)
         assert len(vs.vertices) == 6
@@ -232,10 +258,33 @@ class TestMfmc:
         assert mfmc_bounded(K33, max_weight=1).certified
 
     def test_box_guard(self):
-        from clutterlab import InstanceTooLargeError
-
         with pytest.raises(InstanceTooLargeError):
             mfmc_bounded(K33, max_weight=3, max_boxes=100)
+        # the guard counts the whole box, 4^6 = 4096 here, although the
+        # walk visits only the 10^3 weights sorted within each twin pair
+        doubled = parallelization(TRIANGLE, (2, 2, 2))
+        with pytest.raises(InstanceTooLargeError, match="4096 weight boxes"):
+            mfmc_bounded(doubled, max_weight=3, max_boxes=2000)
+        assert not mfmc_bounded(doubled, max_weight=3, max_boxes=4096).certified
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategies.clutters(max_n=5), st.sampled_from((1, 2)))
+    @example(parallelization(TRIANGLE, (2, 1, 1)), 1)
+    @example(parallelization(TRIANGLE, (2, 1, 1)), 2)
+    @example(parallelization(C5, (2, 1, 2, 1, 1)), 2)
+    @example(K4, 2)
+    @example(TWO_TRIANGLES, 1)
+    @example(TWO_TRIANGLES, 2)
+    def test_matches_the_full_box(self, c, max_weight):
+        # the twin-reduced walk with reused packings finds the lex-first
+        # failing weight of the whole box, with the same two numbers
+        first = oracles.brute_mfmc_box(c, max_weight)
+        expected = (
+            MfmcVerdict(certified=True, bound=max_weight)
+            if first is None
+            else MfmcVerdict(False, max_weight, *first)
+        )
+        assert mfmc_bounded(c, max_weight=max_weight) == expected
 
     def test_weight_bound_must_be_positive(self):
         # the box {0}^n would certify any clutter, the triangle included

@@ -29,7 +29,8 @@ from clutterlab import (
     symbolic_power_membership,
 )
 from clutterlab import rees
-from clutterlab.rees import _earlier_twins, _normality, _ntf_certificate
+from clutterlab.core import _earlier_twins
+from clutterlab.rees import _normality, _ntf_certificate
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 C4 = parse_clutter("v: x1 x2 x3 x4\ne: x1 x2\ne: x2 x3\ne: x3 x4\ne: x1 x4\n")
