@@ -128,9 +128,6 @@ class Clutter:
         except ValueError:
             raise UnknownVertexError(f"no vertex named {label!r}") from None
 
-    def edge_labels(self, j: int) -> tuple[str, ...]:
-        return tuple(self.vertices[i] for i in self.edges[j])
-
     def edge_sets(self) -> list[frozenset[int]]:
         return [frozenset(e) for e in self.edges]
 
@@ -349,6 +346,15 @@ def _vertex_vector(c: Clutter, values, what: str = "weights") -> tuple[int, ...]
     if any(x < 0 for x in vec):
         raise ValueError(f"{what} must be non-negative")
     return vec
+
+
+def _integer(value, what: str) -> int:
+    """A count such as a power or a bound: an int, by `operator.index`; a
+    float or a string is refused, not truncated or parsed."""
+    try:
+        return index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _earlier_twins(n: int, edges) -> list[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Clutter, InstanceTooLargeError, _vertex_vector, minor
+from .core import Clutter, InstanceTooLargeError, _integer, _vertex_vector, minor
 
 
 @lru_cache(maxsize=None)
@@ -212,7 +212,7 @@ def packs(c: Clutter, weights, k: int) -> bool:
 
     In the edge ideal this is x^w in I^k.
     """
-    return _packing(c, _vertex_vector(c, weights), k) is not None
+    return _packing(c, _vertex_vector(c, weights), _integer(k, "k")) is not None
 
 
 @dataclass(frozen=True, slots=True)

@@ -36,7 +36,9 @@ from operator import le
 
 from . import covering
 from ._linalg import dd_step
-from .core import Clutter, InstanceTooLargeError, _earlier_twins, _vertex_vector
+from .core import (
+    Clutter, InstanceTooLargeError, _earlier_twins, _integer, _vertex_vector,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -208,6 +210,7 @@ def mfmc_bounded(
     has tau_w - 1 and one more edge fits under w minus its load.  Only
     otherwise does the packing search (`covering._packing`) run.
     """
+    max_weight = _integer(max_weight, "the weight bound")
     if max_weight < 1:
         raise ValueError("the weight bound must be positive")
     n = c.n

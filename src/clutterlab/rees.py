@@ -42,12 +42,14 @@ them for tau*_a and the integral ones (the minimal covers) for tau_a.
 The bounded surrogate `is_ntf_bounded` compares ordinary powers I^i against
 symbolic powers by enumerating the candidate exponent box {0..i}^n, which
 contains every minimal generator of the symbolic power because all edge
-vectors are 0/1.  Its scan takes the covers as integer rows (x, t): the
-slacks <a, x> - i t of all rows are packed into the bit fields of one int,
-so membership and minimality are a few int operations per point, and each
+vectors are 0/1.  Its scan takes the covers as integer rows (x, t) and
+walks the box recursively in lex order, carrying down the slacks
+<a, x> - i t of all rows packed into the bit fields of one int, so
+membership and minimality are a few int operations per point, and each
 minimal generator is checked against I^i by the packing search.  Only the
 points with a_i <= a_j for twin vertices i < j, which a swap maps onto each
-other, are walked.
+other, are walked; a value of a_j is skipped when no completion of the
+prefix is a member, and a_j is raised no further once the prefix alone is.
 
 `is_normal` and `is_ntf_bounded` keep their verdicts in bounded memos keyed
 on the edge structure (n, edges) alone, looked up once the size guards have
@@ -67,7 +69,9 @@ from . import covering
 from ._linalg import (
     _det_adjugate, dd_step, hermite_diagonal, independent_rows, primitive,
 )
-from .core import Clutter, InstanceTooLargeError, _earlier_twins, _vertex_vector
+from .core import (
+    Clutter, InstanceTooLargeError, _earlier_twins, _integer, _vertex_vector,
+)
 from .polyhedra import solve_lp_exact
 
 
@@ -247,7 +251,7 @@ def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
 def power_membership(c: Clutter, a, i) -> bool:
     """x^a in I^i: some multiset of i edge vectors is componentwise <= a."""
     vec = _vertex_vector(c, a, "exponents")
-    power = int(i)
+    power = _integer(i, "power")
     if power < 0:
         raise ValueError("power must be non-negative")
     return covering.packs(c, vec, power)
@@ -262,7 +266,7 @@ def integral_closure_membership(c: Clutter, a, i) -> bool:
     clutters on more than 12 vertices.
     """
     vec = _vertex_vector(c, a, "exponents")
-    power = int(i)
+    power = _integer(i, "power")
     if power < 0:
         raise ValueError("power must be non-negative")
     return solve_lp_exact(c, vec) >= power
@@ -276,7 +280,7 @@ def symbolic_power_membership(c: Clutter, a, i) -> bool:
     of the i-th powers of its minimal primes, one per minimal vertex cover.
     """
     vec = _vertex_vector(c, a, "exponents")
-    power = int(i)
+    power = _integer(i, "power")
     if power < 0:
         raise ValueError("power must be non-negative")
     return covering.weighted_cover_number(c, vec) >= power
@@ -359,7 +363,7 @@ class PowerCertificate:
 
 
 def _guard_power_box(n: int, max_power, max_boxes: int) -> int:
-    bound = int(max_power)
+    bound = _integer(max_power, "the power bound")
     if bound < 1:
         raise ValueError("the power bound must be positive")
     if (bound + 1) ** n > max_boxes:
@@ -370,65 +374,36 @@ def _guard_power_box(n: int, max_power, max_boxes: int) -> int:
     return bound
 
 
-# the last coordinates of the box are walked from a table of at most this
-# many points, the first ones as prefixes against it
-_SUFFIX_POINTS = 1024
-
-
-def _suffix_table(i, split, steps, earlier, low):
-    """The suffixes b of the twin-reduced walk over the last n - split
-    coordinates, in lex order, each as (b, packed offset, whether b ends
-    above its lower bound, the steps of its coordinates to test).
-
-    ``low`` holds one lower bound per suffix coordinate, the head's value at
-    its earlier twin (0 when that twin is not in the head), and each
-    coordinate runs from it to i; a coordinate whose earlier twin is in the
-    suffix too stays at or above that twin's value.  The steps to test are
-    those of the nonzero coordinates but the last, whose a - e_(n-1) is the
-    point walked just before when b ends above its lower bound, and is tested
-    like the others when it does not.
-    """
-    n = len(steps)
-    if split == n:
-        return [((), 0, False, [])]
-    table = [((v,), v * steps[-1], []) for v in range(low[-1], i + 1)]
-    for j in reversed(range(split, n - 1)):
-        st = steps[j]
-        later = next((k - j - 1 for k in range(j + 1, n) if earlier[k] == j), None)
-        table = [
-            ((v,) + b, v * st + offset, [st] + rest if v else rest)
-            for v in range(low[j - split], i + 1)
-            for b, offset, rest in table
-            if later is None or b[later] >= v
-        ]
-    twin = earlier[-1] - split
-    suffixes = []
-    for b, offset, rest in table:
-        last = b[-1] > (b[twin] if twin >= 0 else low[-1])
-        if b[-1] and not last:
-            rest = rest + [steps[-1]]
-        suffixes.append((b, offset, last, rest))
-    return suffixes
-
-
 def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
     """Check the minimal generators of J_i = {a : <a, x> >= i t for every row
     (x, t)} in the box {0..i}^n against I^i, for i = 1..bound in order; the
     first failure is the lex-first witness.
 
-    Each row is an integer pair (x, t), t > 0, with x a vector of length n,
-    and a swap of twin vertices permutes the rows (the minimal covers, or the
-    vertices of Q(A)).  With slack s = <a, x> - i t, a is in J_i iff every
-    s >= 0, and a - e_j is in J_i iff every row has x_j <= s.  So a member
-    is minimal iff each j with a_j > 0 has some row with x_j > s.  Box points
-    are valid capacities, so the packing search decides I^i directly.  The
-    minimality filter only saves searches: I^i is closed upwards, so the
-    lex-first member outside it is minimal anyway.
+    Each row is an integer pair (x, t), t > 0, with x a non-negative vector
+    of length n, and a swap of twin vertices permutes the rows (the minimal
+    covers, or the vertices of Q(A)).  With slack s = <a, x> - i t, a is in
+    J_i iff every s >= 0, and a - e_j is in J_i iff every row has x_j <= s.
+    So a member is minimal iff each j with a_j > 0 has some row with
+    x_j > s.  Box points are valid capacities, so the packing search decides
+    I^i directly.  The minimality filter only saves searches: I^i is closed
+    upwards, so the lex-first member outside it is minimal anyway.
 
-    A swap of twins i < j maps members to members and I^i to itself, so it
-    keeps the failing set; on a point with a_i > a_j it gives a lex-smaller
-    one.  So only the points with a_i <= a_j for each vertex j and its
-    nearest earlier twin i are walked, which finds the same witness.
+    The box is one recursive walk in lex order, like that of
+    `polyhedra.mfmc_bounded`, with the slacks and the steps of the nonzero
+    coordinates carried down; a leaf tests membership, then minimality,
+    then the packing search.  Three rules cut it, and none skips the
+    lex-first failing point:
+
+    - Twins.  A swap of twins p < j maps members to members and I^i to
+      itself, so it keeps the failing set; on a point with a_p > a_j it
+      gives a lex-smaller one.  So a_j runs from a_p, for the nearest
+      earlier twin p of j (from 0 when j has none), up to i.
+    - No member below.  A value of a_j is skipped when even its largest
+      completion, every later coordinate at i, is not in J_i: x >= 0, so
+      J_i is closed upwards and no completion is a member.
+    - Stop raising a_j.  Once the prefix with zeros after it is in J_i, the
+      larger values of a_j are not walked: every point with a larger a_j
+      has a - e_j in J_i, so none is minimal.
 
     The slacks are packed into one int, a field of `width` bits per row
     holding half + s, half = 2^(width - 1).  With half > i max(|x|, t) + |x|
@@ -439,6 +414,7 @@ def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
     """
     n = c.n
     earlier = _earlier_twins(n, c.edges)
+    a = [0] * n
     for i in range(1, bound + 1):
         half = 1 << max(
             (i * max(sum(x), t) + sum(x) for x, t in rows), default=0
@@ -451,39 +427,38 @@ def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
             point0 += half - i * t << r * width
             for j, xj in enumerate(x):
                 steps[j] += xj << r * width
-        # the last n - split coordinates come from a suffix table, one for
-        # each tuple of lower bounds that the head sets on them
-        split = n
-        while split and (i + 1) ** (n - split + 1) <= _SUFFIX_POINTS:
-            split -= 1
-        head_twins = [(p, j) for j, p in enumerate(earlier[:split]) if p >= 0]
-        tables = {}
-        for head in product(range(i + 1), repeat=split):
-            if any(head[p] > head[j] for p, j in head_twins):
-                continue
-            low = tuple(head[p] if 0 <= p < split else 0 for p in earlier[split:])
-            suffixes = tables.get(low)
-            if suffixes is None:
-                suffixes = tables[low] = _suffix_table(i, split, steps, earlier, low)
-            base = point0 + sum(map(mul, head, steps))
-            head_steps = [st for aj, st in zip(head, steps) if aj]
-            before = False  # whether the point just walked is a member
-            for b, offset, last, rest in suffixes:
-                point = base + offset
-                member = point & top == top
-                # when a ends above its lower bound, a - e_(n-1) is the
-                # point just walked
-                if (
-                    member
-                    and not (last and before)
-                    and not any((point - st) & top == top for st in rest)
-                    and not any((point - st) & top == top for st in head_steps)
-                    and covering._packing(c, head + b, i) is None
-                ):
-                    return PowerCertificate(
-                        certified=False, bound=bound, witness=(head + b, i)
-                    )
-                before = member
+        # above[j]: the offset of a_j = ... = a_(n-1) = i, the largest
+        # completion from coordinate j on
+        above = [0] * (n + 1)
+        for j in reversed(range(n)):
+            above[j] = above[j + 1] + i * steps[j]
+
+        def fails(j: int, point: int, nonzero: list[int]) -> bool:
+            """Whether a walked point with a_0..a_(j-1) as set fails, leaving
+            the first one in a."""
+            if j == n:
+                return (
+                    point & top == top
+                    and not any((point - st) & top == top for st in nonzero)
+                    and covering._packing(c, a, i) is None
+                )
+            low = a[earlier[j]] if earlier[j] >= 0 else 0
+            st = steps[j]
+            point += low * st
+            for v in range(low, i + 1):
+                if (point + above[j + 1]) & top == top:
+                    a[j] = v
+                    if fails(j + 1, point, nonzero + [st] if v else nonzero):
+                        return True
+                    if point & top == top:
+                        break
+                point += st
+            return False
+
+        if fails(0, point0, []):
+            return PowerCertificate(
+                certified=False, bound=bound, witness=(tuple(a), i)
+            )
     return PowerCertificate(certified=True, bound=bound)
 
 

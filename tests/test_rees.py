@@ -19,7 +19,9 @@ from clutterlab import (
     is_normal,
     is_ntf_bounded,
     make_clutter,
+    mfmc_bounded,
     monomial_string,
+    packs,
     parallelization,
     parse_clutter,
     power_membership,
@@ -219,6 +221,25 @@ class TestPowerMembership:
         with pytest.raises(ValueError):
             power_membership(TRIANGLE, (1, 1, 1), -1)
 
+    @pytest.mark.parametrize("count", [1.5, "2"], ids=["float", "string"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda k: power_membership(TRIANGLE, (1, 1, 1), k),
+            lambda k: integral_closure_membership(TRIANGLE, (1, 1, 1), k),
+            lambda k: symbolic_power_membership(TRIANGLE, (1, 1, 1), k),
+            lambda k: is_ntf_bounded(TRIANGLE, k),
+            lambda k: mfmc_bounded(TRIANGLE, max_weight=k),
+            lambda k: packs(TRIANGLE, (1, 1, 1), k),
+        ],
+        ids=["power", "closure", "symbolic", "ntf", "mfmc", "packs"],
+    )
+    def test_non_integer_counts_refused(self, call, count):
+        # as with vectors, int() would truncate 1.5 and parse "2" into a
+        # count that passes silently
+        with pytest.raises(ValueError, match="must be an integer"):
+            call(count)
+
     def test_closure_examples(self):
         assert integral_closure_membership(TRIANGLE, (1, 1, 1), 1)
         assert not integral_closure_membership(TRIANGLE, (1, 1, 1), 2)
@@ -336,14 +357,17 @@ class TestNormality:
 
     def test_bounded_ntf(self):
         _ntf_certificate.cache_clear()
+        # (1, 1, 1) is a member only once its last coordinate is set, at the
+        # member value of a_2: a walk whose largest completion leaves out the
+        # last coordinate, or that stops raising a_j before recursing on its
+        # member value, certifies the triangle
         res = is_ntf_bounded(TRIANGLE, 2)
         assert not res.certified
         assert res.witness == ((1, 1, 1), 2)
         assert is_ntf_bounded(C4, 2).certified
         assert is_ntf_bounded(SINGLE, 3).certified
-        # witnesses on twin constraints: a_2 of (1, 1, 1) is at its lower
-        # bound a_1, so (1, 1, 0) is not the point walked just before it; and
-        # a_0 < a_1 for the twins 0, 1 here
+        # a_0 < a_1 for the twins 0, 1 here, so a walk with the twin
+        # inequality reversed finds (1, 0, 1, 1, 1, 1) instead
         res = is_ntf_bounded(parallelization(C5, (2, 1, 1, 1, 1)), 3)
         assert res.witness == ((0, 1, 1, 1, 1, 1), 3)
 
@@ -391,13 +415,16 @@ class TestNormality:
     @example(make_clutter([], []), 2)
     @example(make_clutter(["x1"], [["x1"]]), 2)
     @example(make_clutter(["x1", "x2", "x3"], [["x1"], ["x2", "x3"]]), 2)
-    # NTF witnesses on twin constraints: ((1, 1, 1), 2) ends at its lower
-    # bound a_1, and ((0, 1, 1, 1, 1, 1), 3) has a_0 < a_1 for the twins 0, 1
+    # NTF witnesses on twin lower bounds: ((1, 1, 1), 2) has a_2 at its
+    # lower bound a_1, and ((0, 1, 1, 1, 1, 1), 3) has a_0 < a_1 for the
+    # twins 0, 1, which a walk with the twin inequality reversed skips
     @example(TRIANGLE, 2)
     @example(parallelization(C5, (2, 1, 1, 1, 1)), 3)
     # Q(A) has fractional vertices, so closure rows with t = 2, and x_j = 2
-    # on the last one; boxes of 4^6 and 4^7 points are walked as prefixes
-    # against a suffix table
+    # on the last one.  On these boxes of 4^6 and 4^7 points each NTF
+    # witness has a_i < a_j for twins i < j, and is a member only once its
+    # last coordinate is set: a largest completion that leaves that
+    # coordinate out, or a stop before recursing on a member value, skips it
     @example(parallelization(TRIANGLE, (4, 1, 1)), 3)
     @example(parallelization(C5, (2, 1, 2, 1, 1)), 3)
     @example(parallelization(TRIANGLE_AND_POINT, (3, 2, 1, 1)), 3)
