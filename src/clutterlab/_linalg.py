@@ -3,8 +3,9 @@
 Everything here works on plain ``int`` matrices and vectors; no floating
 point and no ``Fraction`` is used.  These are small routines sized for the
 desk-scale instances the rest of the package handles, one copy of each: the
-double-description cut, fraction-free (Bareiss 1968) row independence, the
-determinant and adjugate, and the Hermite diagonal.
+double-description cut, fraction-free (Bareiss 1968) row independence, and
+the determinant with the adjugate, the one elimination that each simplex of
+the Hilbert-basis triangulation runs.  `primitive` scales a vector by 1/gcd.
 """
 
 from __future__ import annotations
@@ -108,39 +109,6 @@ def independent_rows(rows) -> list[int]:
         pivots[col] = (r[col], r)
         independent.append(idx)
     return independent
-
-
-def hermite_diagonal(columns) -> list[int]:
-    """Diagonal of a lower-triangular column Hermite form of an integer matrix.
-
-    ``columns`` is a list of D column vectors spanning a full-rank lattice in
-    Z^D.  The returned positive diagonal (d_0, ..., d_{D-1}) satisfies
-    prod(d_i) = |det| and the box prod([0, d_i)) is a complete residue system
-    for Z^D modulo the column lattice.  Raises ValueError on singular input.
-    """
-    cols = [list(map(int, c)) for c in columns]
-    d = len(cols)
-    for i in range(d):
-        while True:
-            nz = [j for j in range(i, d) if cols[j][i] != 0]
-            if not nz:
-                raise ValueError("singular matrix has no Hermite diagonal")
-            j0 = min(nz, key=lambda j: abs(cols[j][i]))
-            if j0 != i:
-                cols[i], cols[j0] = cols[j0], cols[i]
-            if cols[i][i] < 0:
-                cols[i] = [-v for v in cols[i]]
-            done = True
-            p = cols[i][i]
-            for j in range(i + 1, d):
-                if cols[j][i] != 0:
-                    q = cols[j][i] // p
-                    cols[j] = [v - q * w for v, w in zip(cols[j], cols[i])]
-                    if cols[j][i] != 0:
-                        done = False
-            if done:
-                break
-    return [cols[i][i] for i in range(d)]
 
 
 def _det_adjugate(matrix) -> tuple[int, list[list[int]] | None]:

@@ -24,7 +24,6 @@ finds homology below the top dimension.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import covering
 from ._linalg import independent_rows
@@ -79,15 +78,14 @@ class SimplicialComplex:
 
     def faces(self) -> list[tuple[int, ...]]:
         """Every face including the empty one, sorted by (size, lex)."""
-        out: set[tuple[int, ...]] = set()
-        for f in self.facets:
-            for k in range(len(f) + 1):
-                out.update(combinations(f, k))
-        return sorted(out, key=lambda f: (len(f), f))
+        if not self.facets:
+            return []
+        faces = map(_indices, _faces(map(_mask, self.facets)))
+        return sorted(faces, key=lambda f: (len(f), f))
 
     def has_face(self, face) -> bool:
-        fs = frozenset(face)
-        return any(fs <= frozenset(f) for f in self.facets)
+        m = _mask(face)
+        return any(m & f == m for f in map(_mask, self.facets))
 
 
 def independence_complex(c: Clutter, max_vertices: int = 16) -> SimplicialComplex:

@@ -357,6 +357,21 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _guard_box(n: int, bound, max_boxes, what: str, points: str) -> int:
+    """The bound of a box scan {0..bound}^n as an int, once it is positive
+    and the box holds at most ``max_boxes`` points; ``what`` names the bound
+    and ``points`` the box's points in the messages."""
+    bound = _integer(bound, f"the {what} bound")
+    max_boxes = _integer(max_boxes, "max_boxes")
+    if bound < 1:
+        raise ValueError(f"the {what} bound must be positive")
+    if (bound + 1) ** n > max_boxes:
+        raise InstanceTooLargeError(
+            f"{(bound + 1) ** n} {points} exceed the limit of {max_boxes}"
+        )
+    return bound
+
+
 def _earlier_twins(n: int, edges) -> list[int]:
     """The nearest twin i < j of each vertex j, or -1 when it has none.
 
@@ -443,7 +458,7 @@ def graft(c: Clutter, d: int | None = None) -> Clutter:
     actual = is_uniform(c)
     if actual is None:
         raise NotUniformError("grafting requires a d-uniform clutter")
-    if d is not None and d != actual:
+    if d is not None and _integer(d, "d") != actual:
         raise NotUniformError(f"clutter is {actual}-uniform, not {d}-uniform")
     d = actual
     if d == 1:
@@ -468,6 +483,7 @@ def adjoin_whisker_edge(c: Clutter, vertex: str, length: int) -> Clutter:
     is already an edge the new edge is redundant and c is returned
     unchanged.
     """
+    length = _integer(length, "whisker length")
     if length < 1:
         raise ValueError("whisker length must be >= 1")
     i = c.index_of(vertex)

@@ -39,6 +39,7 @@ from .core import (
     Clutter,
     ClutterError,
     InstanceTooLargeError,
+    _integer,
     adjoin_whisker_edge,
     graft,
     is_uniform,
@@ -73,13 +74,16 @@ class CorpusSpec:
     isomorph_reject: bool = False
 
     def __post_init__(self):
-        if self.max_vertices < 1:
+        if _integer(self.max_vertices, "max_vertices") < 1:
             raise ValueError("max_vertices must be positive")
         if self.uniform_size is not None and not (
-            1 <= self.uniform_size <= self.max_vertices
+            1 <= _integer(self.uniform_size, "uniform_size") <= self.max_vertices
         ):
             raise ValueError("uniform_size must be between 1 and max_vertices")
-        if self.max_edges is not None and self.max_edges < 1:
+        if (
+            self.max_edges is not None
+            and _integer(self.max_edges, "max_edges") < 1
+        ):
             raise ValueError("max_edges must be positive")
 
 
@@ -235,6 +239,10 @@ class VerifyBounds:
     cm_max_vertices: int = 16
     packing_max_vertices: int = 15
     ideal_max_vertices: int = 12
+
+    def __post_init__(self):
+        if _integer(self.parallel_weight, "parallel_weight") < 0:
+            raise ValueError("parallel_weight must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)

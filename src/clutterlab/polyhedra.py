@@ -37,7 +37,7 @@ from operator import le
 from . import covering
 from ._linalg import dd_step
 from .core import (
-    Clutter, InstanceTooLargeError, _earlier_twins, _integer, _vertex_vector,
+    Clutter, InstanceTooLargeError, _earlier_twins, _guard_box, _vertex_vector,
 )
 
 
@@ -210,15 +210,8 @@ def mfmc_bounded(
     has tau_w - 1 and one more edge fits under w minus its load.  Only
     otherwise does the packing search (`covering._packing`) run.
     """
-    max_weight = _integer(max_weight, "the weight bound")
-    if max_weight < 1:
-        raise ValueError("the weight bound must be positive")
     n = c.n
-    boxes = (max_weight + 1) ** n
-    if boxes > max_boxes:
-        raise InstanceTooLargeError(
-            f"{boxes} weight boxes exceed the limit of {max_boxes}"
-        )
+    max_weight = _guard_box(n, max_weight, max_boxes, "weight", "weight boxes")
     edges = c.edges
     earlier = _earlier_twins(n, edges)
     covers = covering.minimal_vertex_covers(c)

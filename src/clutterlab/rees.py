@@ -10,17 +10,18 @@ the search `covering.packs`.
 Both normality and the Hilbert basis start from the same candidates, found
 exactly, in integer arithmetic only: a placing triangulation of the cone
 into simplicial subcones on generator rays, and the lattice points of each
-half-open fundamental parallelepiped (via the Hermite-diagonal residue
-system).  The initial simplex comes from `_linalg.independent_rows`.  Its
+half-open fundamental parallelepiped, read off one adjugate per simplex.
+The initial simplex comes from `_linalg.independent_rows`.  Its
 facet normals are the columns of one adjugate, and its determinant is its
 volume.  The normals are the extreme rays of the dual cone, so each further
 generator g cuts them by <h, g> <= 0 with `_linalg.dd_step`.  Simplices are
 bitmasks of generator indices, and `dd_step` keeps for each normal h the
 mask of the processed generators on h, so "sigma has a facet on h" is one
 bit test.  The simplex glued onto that facet gets its volume from sigma's,
-and only a simplex of volume above 1 has lattice points to enumerate: its
-Hermite diagonal, whose product is checked against the carried volume, maps
-it to its residues through the adjugate of its rays.
+and only a simplex of volume above 1 has lattice points to enumerate.  Its
+determinant, checked against the carried volume, and its adjugate come from
+one elimination: the rows of the adjugate, taken mod the volume, generate
+the group of its parallelepiped points.
 
 Every lattice point of the cone is a parallelepiped point plus generators of
 its simplex, so the ideal is normal iff every candidate lies in S.
@@ -61,16 +62,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from math import prod
 from operator import mul
 
 from . import covering
-from ._linalg import (
-    _det_adjugate, dd_step, hermite_diagonal, independent_rows, primitive,
-)
+from ._linalg import _det_adjugate, dd_step, independent_rows, primitive
 from .core import (
-    Clutter, InstanceTooLargeError, _earlier_twins, _integer, _vertex_vector,
+    Clutter, InstanceTooLargeError, _earlier_twins, _guard_box, _integer,
+    _vertex_vector,
 )
 from .polyhedra import solve_lp_exact
 
@@ -148,8 +146,9 @@ def _candidates(cone: ReesCone):
 
     The generators come without repeats, in order.  The points are the
     nonzero lattice points of the half-open fundamental parallelepipeds of
-    the placing triangulation's simplices; with the generators they contain
-    the Hilbert basis.  A cone spanned by unit vectors alone is the orthant
+    the placing triangulation's simplices, from `_parallelepiped_points` on
+    each simplex of volume above 1; with the generators they contain the
+    Hilbert basis.  A cone spanned by unit vectors alone is the orthant
     of their span: it has no points and no normals are needed.
     """
     D = cone.dim
@@ -206,27 +205,51 @@ def _candidates(cone: ReesCone):
     # of volume 1 holds none but its apex
     points: set[tuple[int, ...]] = set()
     for sigma, volume in simplices.items():
-        if volume == 1:
-            continue
-        rays = [g for i, g in enumerate(gens) if sigma >> i & 1]
-        diag = hermite_diagonal(rays)
-        if prod(diag) != volume:
-            raise RuntimeError(
-                "carried simplex volume disagrees with the Hermite diagonal"
-            )
-        matrix = [[rays[col][row] for col in range(D)] for row in range(D)]
-        det, adjugate = _det_adjugate(matrix)
-        for t in product(*(range(d) for d in diag)):
-            floors = [
-                sum(adjugate[i][r] * t[r] for r in range(D)) // det for i in range(D)
-            ]
-            point = tuple(
-                t[row] - sum(matrix[row][j] * floors[j] for j in range(D))
-                for row in range(D)
-            )
-            if any(point):
-                points.add(point)
+        if volume > 1:
+            points.update(_parallelepiped_points(
+                [g for i, g in enumerate(gens) if sigma >> i & 1], volume
+            ))
     return gens, normals, points
+
+
+def _parallelepiped_points(rays, volume: int) -> list[tuple[int, ...]]:
+    """Nonzero lattice points of the half-open parallelepiped
+    {sum c_k r_k : 0 <= c_k < 1} of the simplicial cone on ``rays``, whose
+    |det| must equal ``volume``, the volume carried through the
+    triangulation (else RuntimeError).
+
+    With the rays as the rows of R and V the volume, R adj = det I, so row
+    k of adj is V times the coefficients of e_k in the rays, up to the sign
+    of det.  So x -> V x R^-1 mod V embeds Z^D / ZR, a group of exactly V
+    elements, in (Z/V)^D, and the D rows of adj mod V generate its image
+    (the sign does not matter: a group holds the negatives of its
+    elements).  A nonzero element lambda is V times the fractional
+    coefficients of one point, lambda R / V, an exact division.  The group
+    H is closed under addition one generator g at a time: the cosets H + g,
+    H + 2g, ... are added until one of them holds 0.
+    """
+    det, adj = _det_adjugate(rays)
+    if abs(det) != volume:
+        raise RuntimeError("carried simplex volume disagrees with the determinant")
+    zero = (0,) * len(rays)
+    group = {zero}
+    for row in adj:
+        if len(group) == volume:
+            break
+        g = tuple(v % volume for v in row)
+        cosets = list(group)
+        multiple = g
+        while multiple not in group:
+            group.update(
+                tuple((a + b) % volume for a, b in zip(h, multiple))
+                for h in cosets
+            )
+            multiple = tuple((a + b) % volume for a, b in zip(multiple, g))
+    group.discard(zero)
+    columns = list(zip(*rays))
+    return [
+        tuple(_dot(lam, col) // volume for col in columns) for lam in group
+    ]
 
 
 def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
@@ -362,18 +385,6 @@ class PowerCertificate:
     witness: tuple[tuple[int, ...], int] | None = None
 
 
-def _guard_power_box(n: int, max_power, max_boxes: int) -> int:
-    bound = _integer(max_power, "the power bound")
-    if bound < 1:
-        raise ValueError("the power bound must be positive")
-    if (bound + 1) ** n > max_boxes:
-        raise InstanceTooLargeError(
-            f"{(bound + 1) ** n} candidate exponent vectors exceed "
-            f"the limit of {max_boxes}"
-        )
-    return bound
-
-
 def _bounded_power_scan(c: Clutter, bound: int, rows) -> PowerCertificate:
     """Check the minimal generators of J_i = {a : <a, x> >= i t for every row
     (x, t)} in the box {0..i}^n against I^i, for i = 1..bound in order; the
@@ -472,7 +483,9 @@ def is_ntf_bounded(
     is at least i, and a member is minimal iff each j with a_j > 0 lies in a
     cover whose sum is exactly i.  The box guard is checked before the memo.
     """
-    bound = _guard_power_box(c.n, max_power, max_boxes)
+    bound = _guard_box(
+        c.n, max_power, max_boxes, "power", "candidate exponent vectors"
+    )
     return _ntf_certificate(_Structure(c), bound)
 
 
@@ -489,6 +502,7 @@ def _ntf_certificate(s: _Structure, bound: int) -> PowerCertificate:
 def monomial_string(c: Clutter, a, rees_degree: int = 0) -> str:
     """Render x^a (t^b) with vertex labels, e.g. ``x1^2*x3 t^2``."""
     vec = _vertex_vector(c, a, "exponents")
+    rees_degree = _integer(rees_degree, "the Rees degree")
     factors = []
     for label, e in zip(c.vertices, vec):
         if e == 1:

@@ -406,6 +406,25 @@ def brute_hilbert_basis(dim, contains, box):
     return sorted(basis, key=lambda p: (sum(p), p))
 
 
+def brute_parallelepiped_points(rays, volume):
+    """Nonzero lattice points of the half-open parallelepiped
+    {sum c_k r_k : 0 <= c_k < 1} of the D integer ``rays``, with ``volume``
+    their |det| (or a multiple of it).
+
+    By Cramer's rule each such point has coefficients in (1/V)Z, V the
+    volume, so it is lambda R / V for one lambda in {0..V-1}^D, R having the
+    rays as rows: the walk keeps each nonzero lambda R that V divides in
+    every coordinate.  No elimination is used.
+    """
+    dim = len(rays)
+    points = set()
+    for lam in product(range(volume), repeat=dim):
+        p = [sum(x * r[j] for x, r in zip(lam, rays)) for j in range(dim)]
+        if any(p) and all(x % volume == 0 for x in p):
+            points.add(tuple(x // volume for x in p))
+    return points
+
+
 def _rank_dense_q(rows):
     rows = [list(map(Fraction, r)) for r in rows if any(r)]
     rank = 0

@@ -11,8 +11,10 @@ import strategies
 from clutterlab import (
     CorpusSpec,
     InstanceTooLargeError,
+    VerifyBounds,
     adjoin_whisker_edge,
     enumerate_clutters,
+    graft,
     hilbert_basis,
     integral_closure_membership,
     is_ideal_clutter,
@@ -173,25 +175,72 @@ class TestHilbertBasis:
     def test_carried_volumes_match_box_oracle(self, c, monkeypatch):
         # the placing triangulations of these cones have simplices of volume
         # > 1 (those of triangle and C5 parallelizations have none): each
-        # one's Hermite diagonal is checked against the volume carried
-        # through the triangulation, which raises RuntimeError on a mismatch
-        hermite_calls = []
-        original = rees.hermite_diagonal
+        # one's determinant is checked against the volume carried through
+        # the triangulation, which raises RuntimeError on a mismatch
+        parallelepiped_calls = []
+        original = rees._parallelepiped_points
 
-        def counted(columns):
-            hermite_calls.append(columns)
-            return original(columns)
+        def counted(rays, volume):
+            parallelepiped_calls.append(rays)
+            return original(rays, volume)
 
-        monkeypatch.setattr(rees, "hermite_diagonal", counted)
+        monkeypatch.setattr(rees, "_parallelepiped_points", counted)
         cone = rees_cone(c)
         hb = hilbert_basis(cone, max_edges=c.q)
-        assert hermite_calls
+        assert parallelepiped_calls
         box = 3
         assert all(max(el) <= box for el in hb.elements)
         expected = oracles.brute_hilbert_basis(
             cone.dim, oracles.brute_rees_cone_membership(c), box
         )
         assert sorted(hb.elements, key=lambda p: (sum(p), p)) == expected
+
+    @pytest.mark.parametrize(
+        "c",
+        [
+            TWO_TRIANGLES,
+            parse_clutter(
+                "v: x1 x2 x3 x4\ne: x1 x2\ne: x1 x3\ne: x1 x4\ne: x2 x3 x4\n"
+            ),
+            parallelization(TRIANGLE_AND_POINT, (2, 1, 1, 1)),
+            Q6,
+        ],
+        ids=["two-triangles", "star-and-triangle", "triangle-and-parallel-point", "q6"],
+    )
+    def test_parallelepiped_points_match_box_oracle(self, c, monkeypatch):
+        # every simplex of volume > 1 in the placing triangulation, against
+        # a walk over {0..V-1}^D that uses no elimination
+        simplices = []
+        original = rees._parallelepiped_points
+
+        def recorded(rays, volume):
+            simplices.append((rays, volume))
+            return original(rays, volume)
+
+        monkeypatch.setattr(rees, "_parallelepiped_points", recorded)
+        rees._candidates(rees_cone(c))
+        assert simplices
+        for rays, volume in simplices:
+            points = original(rays, volume)
+            assert len(points) == volume - 1
+            assert set(points) == oracles.brute_parallelepiped_points(rays, volume)
+
+    @pytest.mark.parametrize(
+        "rays",
+        [[(2, 0), (0, 2)], [(2, 0), (0, 4)], [(1, 2), (3, 1)]],
+        ids=["Z2xZ2", "Z2xZ4", "negative-det"],
+    )
+    def test_parallelepiped_points_of_hand_made_rays(self, rays):
+        # Z^2 / (2Z)^2 is (Z/2)^2, not cyclic, so a closure over the first
+        # generator alone stops at half of it, and Z/2 x Z/4 also needs every
+        # multiple of a generator of order 4; the Rees cones above only meet
+        # volume 2.  The last rays have determinant -5
+        volume = abs(rays[0][0] * rays[1][1] - rays[0][1] * rays[1][0])
+        points = rees._parallelepiped_points(rays, volume)
+        assert len(points) == volume - 1
+        assert set(points) == oracles.brute_parallelepiped_points(rays, volume)
+        with pytest.raises(RuntimeError, match="carried simplex volume"):
+            rees._parallelepiped_points(rays, volume + 1)
 
     def test_cache_is_bounded(self):
         # verdicts are memoized, keyed on the edge structure.  A `verify`
@@ -239,6 +288,34 @@ class TestPowerMembership:
         # count that passes silently
         with pytest.raises(ValueError, match="must be an integer"):
             call(count)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: adjoin_whisker_edge(TRIANGLE, "x1", 1.5), "must be an integer"),
+            (lambda: adjoin_whisker_edge(TRIANGLE, "x1", "2"), "must be an integer"),
+            (lambda: graft(TRIANGLE, d="2"), "must be an integer"),
+            (lambda: CorpusSpec(4.5), "must be an integer"),
+            (lambda: CorpusSpec(4, uniform_size=2.5), "must be an integer"),
+            (lambda: CorpusSpec(4, max_edges="3"), "must be an integer"),
+            (lambda: monomial_string(TRIANGLE, (1, 1, 0), 1.5), "must be an integer"),
+            (lambda: mfmc_bounded(TRIANGLE, 2, max_boxes=1.5), "must be an integer"),
+            (lambda: is_ntf_bounded(TRIANGLE, 2, max_boxes="x"), "must be an integer"),
+            (lambda: VerifyBounds(parallel_weight=-1), "must be non-negative"),
+            (lambda: VerifyBounds(parallel_weight=1.5), "must be an integer"),
+        ],
+        ids=[
+            "whisker-float", "whisker-string", "graft-d", "corpus-vertices",
+            "corpus-uniform-size", "corpus-edges", "monomial-degree",
+            "mfmc-boxes", "ntf-boxes", "negative-parallel-weight",
+            "float-parallel-weight",
+        ],
+    )
+    def test_other_counts_refused(self, call, message):
+        # sizes, lengths and degrees are counts too, refused as above; a
+        # negative parallel weight would sweep no parallelization at all
+        with pytest.raises(ValueError, match=message):
+            call()
 
     def test_closure_examples(self):
         assert integral_closure_membership(TRIANGLE, (1, 1, 1), 1)
