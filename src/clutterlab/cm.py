@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import covering
 from ._linalg import independent_rows
-from .core import Clutter, InstanceTooLargeError
+from .core import Clutter, InstanceTooLargeError, _guard_vertices
 
 
 def _normalize_field(field: str) -> str:
@@ -90,10 +90,7 @@ class SimplicialComplex:
 
 def independence_complex(c: Clutter, max_vertices: int = 16) -> SimplicialComplex:
     """Faces = vertex sets containing no edge; facets = cover complements."""
-    if c.n > max_vertices:
-        raise InstanceTooLargeError(
-            f"independence complex limited to {max_vertices} vertices (got {c.n})"
-        )
+    _guard_vertices(c.n, max_vertices, "independence complex")
     everything = set(range(c.n))
     facets = sorted(
         (tuple(sorted(everything - set(cover)))
@@ -317,10 +314,7 @@ def is_cohen_macaulay(
     The scan decides every negative verdict and supplies its witness.
     """
     fld = _normalize_field(field)
-    if c.n > max_vertices:
-        raise InstanceTooLargeError(
-            f"Cohen-Macaulay check limited to {max_vertices} vertices (got {c.n})"
-        )
+    _guard_vertices(c.n, max_vertices, "Cohen-Macaulay check")
     covers = covering.minimal_vertex_covers(c)
     sizes = sorted({len(cv) for cv in covers})
     if len(sizes) > 1:

@@ -357,6 +357,16 @@ def _integer(value, what: str) -> int:
         raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
+def _guard_vertices(n: int, max_vertices, what: str) -> None:
+    """Refuse an instance on more than ``max_vertices`` vertices, an integer
+    limit; ``what`` names the check in the message."""
+    max_vertices = _integer(max_vertices, "max_vertices")
+    if n > max_vertices:
+        raise InstanceTooLargeError(
+            f"{what} limited to {max_vertices} vertices (got {n})"
+        )
+
+
 def _guard_box(n: int, bound, max_boxes, what: str, points: str) -> int:
     """The bound of a box scan {0..bound}^n as an int, once it is positive
     and the box holds at most ``max_boxes`` points; ``what`` names the bound

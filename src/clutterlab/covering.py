@@ -10,6 +10,16 @@ property.
 
 Conventions for the empty clutter: alpha0 = beta1 = 0, Konig holds, and
 the packing property holds (its only minor is itself).
+
+A vertex v on exactly one edge e of a clutter H never needs contracting
+when the packing property is decided, because H and H / v have equal
+alpha0 and beta1.  A cover of H through v may take another vertex of e
+instead, and a cover of H / v meets e - v, so it meets e and every edge
+holding e - v.  A matching of H trades e, or the one edge that holds
+e - v, for e - v; a matching of H / v trades e - v back for e.  Deleting
+or contracting other vertices adds no edge through v, so v stays on one
+edge, or on none (then H / v = H), in every minor where it is kept.
+Grafts and whiskers bring many such vertices.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .core import Clutter, InstanceTooLargeError, _integer, _vertex_vector, minor
+from .core import Clutter, _guard_vertices, _integer, _vertex_vector, minor
 
 
 @lru_cache(maxsize=None)
@@ -266,17 +276,18 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
     3^n assignments because deletions and contractions of distinct vertices
     commute; vertices on no edge are passed over.  Edges that are pairwise
     disjoint end the branch at once: every minor of a matching is a
-    matching, so Konig.  The answer for (edges, vertex i) depends only on
-    the edges up to an order-preserving relabelling of their support and on
-    how many support vertices lie below i (those are frozen as kept), so
-    the per-call memo is keyed on exactly that pair and is shared by minors
-    that are isomorphic in that sense.  Only the witness minor is built as
-    a Clutter.
+    matching, so Konig.  A vertex on exactly one edge of the current minor
+    is not contracted: in every completion it still lies on at most one
+    edge, so contracting it changes neither alpha0 nor beta1 (module
+    docstring), that branch fails only where keeping the vertex fails, and
+    keep comes first in the witness order.  The answer for (edges, vertex
+    i) depends only on the edges up to an order-preserving relabelling of
+    their support and on how many support vertices lie below i (those are
+    frozen as kept), so the per-call memo is keyed on exactly that pair and
+    is shared by minors that are isomorphic in that sense.  Only the
+    witness minor is built as a Clutter.
     """
-    if c.n > max_vertices:
-        raise InstanceTooLargeError(
-            f"packing property limited to {max_vertices} vertices (got {c.n})"
-        )
+    _guard_vertices(c.n, max_vertices, "packing property")
     n = c.n
     memo: dict[tuple[tuple[int, ...], int], bool] = {}
 
@@ -297,8 +308,15 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
         else:
             bit = ahead & -ahead
             nxt = bit.bit_length()
-            result = fails(edges, nxt) or fails(_delete(edges, bit), nxt)  # keep, delete
-            if not result:
+            deleted = _delete(edges, bit)
+            result = fails(edges, nxt) or fails(deleted, nxt)  # keep, delete
+            # A vertex v on one edge e is never contracted.  Later steps add
+            # no edge through v, so in each completion H it lies on e or on
+            # nothing, and H / v has the same alpha0 (a cover uses a vertex of
+            # e - v in place of v) and beta1 (a matching swaps e, or the one
+            # edge holding e - v, for e - v): contract fails only where keep
+            # does, and keep is first in the witness order.
+            if not result and len(edges) - len(deleted) > 1:
                 contracted = _contract(edges, bit)
                 # None: every completion of this prefix is the unit ideal
                 result = contracted is not None and fails(contracted, nxt)

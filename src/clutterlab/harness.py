@@ -241,8 +241,21 @@ class VerifyBounds:
     ideal_max_vertices: int = 12
 
     def __post_init__(self):
+        # refused here, not in the middle of a run by the first check to use it
+        for name, what in (("max_weight", "weight"), ("max_power", "power")):
+            if _integer(getattr(self, name), name) < 1:
+                raise ValueError(f"the {what} bound {name} must be positive")
         if _integer(self.parallel_weight, "parallel_weight") < 0:
             raise ValueError("parallel_weight must be non-negative")
+        for length in self.whisker_lengths:
+            if _integer(length, "whisker length") < 1:
+                raise ValueError("whisker lengths must be positive")
+        for name in (
+            "hilbert_max_vertices", "hilbert_max_edges", "cm_max_vertices",
+            "packing_max_vertices", "ideal_max_vertices",
+        ):
+            if _integer(getattr(self, name), name) < 0:
+                raise ValueError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,7 @@ from operator import le
 from . import covering
 from ._linalg import dd_step
 from .core import (
-    Clutter, InstanceTooLargeError, _earlier_twins, _guard_box, _vertex_vector,
+    Clutter, _earlier_twins, _guard_box, _guard_vertices, _vertex_vector,
 )
 
 
@@ -94,13 +94,6 @@ def _q_vertex_rays(n: int, edges) -> list[tuple[int, ...]]:
     return [r for r in rays if r[n]]
 
 
-def _guard_q_size(n: int, max_vertices: int) -> None:
-    if n > max_vertices:
-        raise InstanceTooLargeError(
-            f"Q(A) vertex enumeration limited to {max_vertices} vertices (got {n})"
-        )
-
-
 def solve_lp_exact(c: Clutter, weights, max_vertices: int = 12) -> Fraction:
     """tau*_w, the optimum of the covering LP min{<w, x> : x in Q(A)}.
 
@@ -111,7 +104,7 @@ def solve_lp_exact(c: Clutter, weights, max_vertices: int = 12) -> Fraction:
     """
     w = _vertex_vector(c, weights)
     n = c.n
-    _guard_q_size(n, max_vertices)
+    _guard_vertices(n, max_vertices, "Q(A) vertex enumeration")
     return min(
         Fraction(sum(wi * xi for wi, xi in zip(w, r)), r[n])
         for r in _q_vertex_rays(n, c.edges)
@@ -130,7 +123,7 @@ def enumerate_Q_vertices(c: Clutter, max_vertices: int = 12) -> QVertexSet:
     it replaced (kept as `tests/oracles.brute_Q_vertices`).
     """
     n = c.n
-    _guard_q_size(n, max_vertices)
+    _guard_vertices(n, max_vertices, "Q(A) vertex enumeration")
     vertices = (
         tuple(Fraction(xi, r[n]) for xi in r[:n]) for r in _q_vertex_rays(n, c.edges)
     )
@@ -154,7 +147,7 @@ def is_ideal_clutter(c: Clutter, max_vertices: int = 12) -> IdealVerdict:
     mean an implementation bug and raises RuntimeError.
     """
     n = c.n
-    _guard_q_size(n, max_vertices)
+    _guard_vertices(n, max_vertices, "Q(A) vertex enumeration")
     rays = _q_vertex_rays(n, c.edges)
     integral = {r[:n] for r in rays if r[n] == 1}
     cover_sets = map(frozenset, covering.minimal_vertex_covers(c))

@@ -111,7 +111,9 @@ def rees_cone(c: Clutter) -> ReesCone:
     return ReesCone(dim=c.n + 1, generators=tuple(gens))
 
 
-def _guard_hilbert_size(n: int, q: int, max_vertices: int, max_edges: int) -> None:
+def _guard_hilbert_size(n: int, q: int, max_vertices, max_edges) -> None:
+    max_vertices = _integer(max_vertices, "max_vertices")
+    max_edges = _integer(max_edges, "max_edges")
     if n > max_vertices or q > max_edges:
         raise InstanceTooLargeError(
             f"Hilbert basis limited to {max_vertices} vertices and "

@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from clutterlab import make_clutter
+from clutterlab import adjoin_whisker_edge, make_clutter
 
 
 def _minimal_antichain(edge_sets):
@@ -76,6 +76,18 @@ def pure_complex_clutters(draw, max_n=6):
         if not any(frozenset(s) <= f for f in facets)
     ]
     return _build(n, non_faces)
+
+
+@st.composite
+def whiskered_clutters(draw, max_n=8):
+    """A clutter with whisker edges adjoined, at most ``max_n`` vertices in
+    all: every whisker brings fresh vertices that lie on one edge only."""
+    c = draw(clutters(max_n=max_n - 1, max_q=5))
+    while c.n < max_n and draw(st.booleans()):
+        vertex = draw(st.sampled_from(c.vertices))
+        length = draw(st.integers(min_value=1, max_value=min(2, max_n - c.n)))
+        c = adjoin_whisker_edge(c, vertex, length)
+    return c
 
 
 def random_clutter(rng: random.Random, max_n=5, max_q=5):

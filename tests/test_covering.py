@@ -218,6 +218,39 @@ class TestPackingProperty:
     def test_witness_is_the_brute_lex_first(self, c):
         self.assert_brute_lex_first(c)
 
+    @settings(max_examples=30, deadline=None)
+    @given(strategies.whiskered_clutters(max_n=8))
+    def test_whiskered_witness_is_the_brute_lex_first(self, c):
+        # whisker vertices lie on one edge, so the walk never contracts them
+        self.assert_brute_lex_first(c)
+
+    def test_contracts_a_two_edge_vertex(self):
+        # x5 lies on two edges, x2 x5 and x3 x4 x5, and contracting it
+        # leaves the triangle x1 x3 x4 beside the edge x2 (alpha0 = 3,
+        # beta1 = 2): only a vertex on one edge may skip the contract branch
+        c = parse_clutter(
+            "v: x1 x2 x3 x4 x5\n"
+            "e: x1 x2\ne: x1 x3\ne: x1 x4\ne: x2 x5\ne: x3 x4 x5\n"
+        )
+        w = has_packing_property(c).witness
+        assert (w.deleted, w.contracted, w.alpha0, w.beta1) == ((), ("x5",), 3, 2)
+        assert (w.deleted, w.contracted, w.alpha0, w.beta1) == (
+            oracles.brute_packing_witness(c)
+        )
+
+    def test_eighteen_vertex_graft_holds(self):
+        # a 6-vertex 3-uniform packing class: its graft hangs two one-edge
+        # vertices on each base vertex
+        base = parse_clutter(
+            "v: x1 x2 x3 x4 x5 x6\n"
+            "e: x1 x3 x5\ne: x1 x3 x6\ne: x1 x4 x5\n"
+            "e: x1 x4 x6\ne: x2 x3 x6\ne: x2 x4 x5\n"
+        )
+        g = graft(base)
+        assert g.n == 18
+        assert has_packing_property(base).holds
+        assert has_packing_property(g, max_vertices=18).holds
+
     @pytest.mark.parametrize("g", SMALL_GRAFTS, ids=lambda g: f"{g.n}v{len(g.edges)}e")
     def test_graft_witness_is_the_brute_lex_first(self, g):
         self.assert_brute_lex_first(g)

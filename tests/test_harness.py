@@ -25,9 +25,11 @@ from clutterlab import (
     VerifyBounds,
     check_properties,
     emit_report,
+    enumerate_Q_vertices,
     enumerate_clutters,
     has_packing_property,
     hilbert_basis,
+    independence_complex,
     is_cohen_macaulay,
     is_ideal_clutter,
     is_normal,
@@ -36,6 +38,7 @@ from clutterlab import (
     parallelization,
     parse_clutter,
     read_report,
+    rees_cone,
     report_hash,
     scan_conforti_cornuejols,
     serialize_clutter,
@@ -247,6 +250,68 @@ class TestGuardDefaults:
     def test_api_default_matches_verify_bounds(self, function, parameter, field):
         default = inspect.signature(function).parameters[parameter].default
         assert default == getattr(VerifyBounds(), field)
+
+
+    @pytest.mark.parametrize("limit", [1.5, "15"], ids=["float", "string"])
+    @pytest.mark.parametrize(
+        "guarded",
+        [
+            lambda limit: has_packing_property(TRIANGLE, max_vertices=limit),
+            lambda limit: is_cohen_macaulay(TRIANGLE, max_vertices=limit),
+            lambda limit: independence_complex(TRIANGLE, max_vertices=limit),
+            lambda limit: is_ideal_clutter(TRIANGLE, max_vertices=limit),
+            lambda limit: enumerate_Q_vertices(TRIANGLE, max_vertices=limit),
+            lambda limit: solve_lp_exact(TRIANGLE, (1, 1, 1), max_vertices=limit),
+            lambda limit: hilbert_basis(rees_cone(TRIANGLE), max_vertices=limit),
+            lambda limit: hilbert_basis(rees_cone(TRIANGLE), max_edges=limit),
+            lambda limit: is_normal(TRIANGLE, max_vertices=limit),
+            lambda limit: is_normal(TRIANGLE, max_edges=limit),
+        ],
+        ids=[
+            "packing", "cm", "independence-complex", "ideal", "q-vertices",
+            "lp", "hilbert-vertices", "hilbert-edges", "normal-vertices",
+            "normal-edges",
+        ],
+    )
+    def test_non_integer_limit_refused(self, guarded, limit):
+        # a size limit is a count: neither truncated, compared, nor parsed
+        with pytest.raises(ValueError, match="must be an integer"):
+            guarded(limit)
+
+
+class TestVerifyBoundsValidation:
+    """Every bound is checked when VerifyBounds is built, not by the first
+    check that uses it in the middle of a run."""
+
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ({"max_power": 0}, "max_power must be positive"),
+            ({"max_weight": 0}, "max_weight must be positive"),
+            ({"whisker_lengths": (0,)}, "whisker lengths must be positive"),
+            ({"whisker_lengths": (1, -2)}, "whisker lengths must be positive"),
+            ({"cm_max_vertices": -1}, "cm_max_vertices must be non-negative"),
+            ({"packing_max_vertices": -1}, "packing_max_vertices must be non-negative"),
+            ({"ideal_max_vertices": -1}, "ideal_max_vertices must be non-negative"),
+            ({"hilbert_max_vertices": -1}, "hilbert_max_vertices must be non-negative"),
+            ({"hilbert_max_edges": -1}, "hilbert_max_edges must be non-negative"),
+            ({"max_power": 1.5}, "must be an integer"),
+            ({"max_weight": "2"}, "must be an integer"),
+            ({"whisker_lengths": (1.5,)}, "must be an integer"),
+            ({"cm_max_vertices": 16.0}, "must be an integer"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
+    )
+    def test_bad_bound_refused(self, bounds, message):
+        with pytest.raises(ValueError, match=message):
+            VerifyBounds(**bounds)
+
+    def test_least_bounds_accepted(self):
+        VerifyBounds(
+            max_weight=1, max_power=1, parallel_weight=0, whisker_lengths=(1,),
+            hilbert_max_vertices=0, hilbert_max_edges=0, cm_max_vertices=0,
+            packing_max_vertices=0, ideal_max_vertices=0,
+        )
 
 
 class TestBenchmarkMetricNames:
