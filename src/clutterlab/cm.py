@@ -143,6 +143,26 @@ def _indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
+def _relabel(masks) -> tuple[int, ...]:
+    """The masks moved order-preservingly onto vertices 0..m-1, m the size
+    of their union, and sorted: a key shared by facet families that are
+    equal up to labels that keep the vertex order."""
+    support = 0
+    for m in masks:
+        support |= m
+    out = []
+    for m in masks:
+        r, j, rest = 0, 0, support
+        while rest:
+            low = rest & -rest
+            if m & low:
+                r |= 1 << j
+            j += 1
+            rest ^= low
+        out.append(r)
+    return tuple(sorted(out))
+
+
 def _faces(facets) -> set[int]:
     """Every face of the complex with these facet masks, the empty one included."""
     out: set[int] = set()
@@ -271,13 +291,13 @@ def _vertex_decomposable(facets) -> bool:
             result = (
                 bool(deletion)
                 and all(any(g & h == g for h in deletion) for g in link)
-                and decomposable(covering._relabel(link))
-                and decomposable(covering._relabel(deletion))
+                and decomposable(_relabel(link))
+                and decomposable(_relabel(deletion))
             )
         memo[key] = result
         return result
 
-    return decomposable(covering._relabel(facets))
+    return decomposable(_relabel(facets))
 
 
 def _link_failure(link: tuple[int, ...], fld: str) -> tuple[int, int] | None:
@@ -339,7 +359,7 @@ def is_cohen_macaulay(
             apex &= f
         if apex:
             continue  # a vertex in every link facet cones the link: acyclic
-        key = covering._relabel(link)
+        key = _relabel(link)
         if key not in failures:
             failures[key] = _link_failure(key, fld)
         failure = failures[key]

@@ -60,26 +60,6 @@ def _edge_masks(c: Clutter) -> list[int]:
     return [sum(1 << i for i in e) for e in c.edges]
 
 
-def _relabel(masks) -> tuple[int, ...]:
-    """The masks moved order-preservingly onto vertices 0..m-1, m the size
-    of their union, and sorted: a key shared by edge or facet families that
-    are equal up to labels that keep the vertex order."""
-    support = 0
-    for m in masks:
-        support |= m
-    out = []
-    for m in masks:
-        r, j, rest = 0, 0, support
-        while rest:
-            low = rest & -rest
-            if m & low:
-                r |= 1 << j
-            j += 1
-            rest ^= low
-        out.append(r)
-    return tuple(sorted(out))
-
-
 def _cover_number(masks) -> int:
     """Least number of vertices meeting every edge mask, by branch and bound."""
     if not masks:
@@ -280,16 +260,14 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
     is not contracted: in every completion it still lies on at most one
     edge, so contracting it changes neither alpha0 nor beta1 (module
     docstring), that branch fails only where keeping the vertex fails, and
-    keep comes first in the witness order.  The answer for (edges, vertex
-    i) depends only on the edges up to an order-preserving relabelling of
-    their support and on how many support vertices lie below i (those are
-    frozen as kept), so the per-call memo is keyed on exactly that pair and
-    is shared by minors that are isomorphic in that sense.  Only the
-    witness minor is built as a Clutter.
+    keep comes first in the witness order.  The answer depends only on the
+    edge masks and on which of their vertices are still to be decided, so
+    the per-call memo is keyed on exactly that pair.  Only the witness
+    minor is built as a Clutter.
     """
     _guard_vertices(c.n, max_vertices, "packing property")
     n = c.n
-    memo: dict[tuple[tuple[int, ...], int], bool] = {}
+    memo: dict[tuple[frozenset[int], int], bool] = {}
 
     def fails(edges: frozenset[int], i: int) -> bool:
         support = size = 0
@@ -299,7 +277,7 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
         if size == support.bit_count():
             return False  # pairwise disjoint: a matching, and so is every minor
         ahead = support >> i << i
-        key = (_relabel(edges), (support ^ ahead).bit_count())
+        key = (edges, ahead)
         hit = memo.get(key)
         if hit is not None:
             return hit

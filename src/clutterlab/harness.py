@@ -468,7 +468,9 @@ def verify_theorems(
     checks that need exact max-flow min-cut rest on ``ideal and normal``.
     A single failure raises TheoremViolationError: the suite doubles as the
     deepest integration test of the modules against one another.  A derived
-    clutter beyond a size guard is counted as skipped, not checked.
+    clutter beyond the size guard of its check's kernel is counted as
+    skipped, not checked; a corpus clutter beyond a guard of
+    `check_properties` raises InstanceTooLargeError.
     """
     bounds = bounds or VerifyBounds()
     summary = VerificationSummary()
@@ -478,17 +480,20 @@ def verify_theorems(
         if not condition:
             raise TheoremViolationError(name, serialize_clutter(c), details)
 
-    def skip(name: str):
-        summary.skipped[name] = summary.skipped.get(name, 0) + 1
-
-    def check_normal(name, x: Clutter, c: Clutter, details: dict, ideal=True):
-        # x, derived from c, answers to the graft guard; the hilbert_max_*
-        # bounds hold for the corpus `normal` verdict only
-        if x.n > bounds.cm_max_vertices:
-            skip(name)
+    def check_derived(name: str, kernel, c: Clutter, details: dict):
+        # the kernel runs under its own size guard; a refusal is a skip
+        try:
+            condition = kernel()
+        except InstanceTooLargeError:
+            summary.skipped[name] = summary.skipped.get(name, 0) + 1
             return
+        check(name, condition, c, details)
+
+    def derived_normal(x: Clutter) -> bool:
+        # a derived clutter answers to the graft guard; the hilbert_max_*
+        # bounds hold for the corpus `normal` verdict only
         guard = {"max_vertices": bounds.cm_max_vertices, "max_edges": x.q}
-        check(name, ideal and rees.is_normal(x, **guard).normal, c, details)
+        return rees.is_normal(x, **guard).normal
 
     for c in enumerate_clutters(spec):
         report = check_properties(c, bounds)
@@ -528,88 +533,80 @@ def verify_theorems(
                         c,
                         {"w": list(w)},
                     )
-                    check(
+                    check_derived(
                         "ntf-parallelization",
-                        rees.is_ntf_bounded(cp, bounds.max_power).certified,
+                        lambda: rees.is_ntf_bounded(cp, bounds.max_power).certified,
                         c,
                         {"w": list(w)},
                     )
                 if normal:
                     # the paper: normality is closed under parallelization
-                    check_normal("parall-normal", cp, c, {"w": list(w)})
+                    check_derived(
+                        "parall-normal", lambda: derived_normal(cp), c, {"w": list(w)}
+                    )
 
         if bounds.include_whiskers:
             for v in c.vertices:
                 deletion_konig = covering.has_konig(minor(c, deleted=(v,)))
                 for length in bounds.whisker_lengths:
                     cw = adjoin_whisker_edge(c, v, length)
+                    where = {"vertex": v, "length": length}
                     if konig and deletion_konig:
                         # with e the whisker edge on v:
                         # tau(c+e) = 1+tau(c\v) <= 1+nu(c\v) <= nu(c+e)
-                        check(
-                            "whisker-konig",
-                            covering.has_konig(cw),
-                            c,
-                            {"vertex": v, "length": length},
-                        )
+                        check("whisker-konig", covering.has_konig(cw), c, where)
                     if pp:
                         # a minor of c+e is a minor of c, or one plus a whisker
                         # edge, which keeps Konig by the argument above
-                        check(
+                        check_derived(
                             "whisker-packing",
-                            covering.has_packing_property(
+                            lambda: covering.has_packing_property(
                                 cw, max_vertices=bounds.packing_max_vertices
                             ).holds,
                             c,
-                            {"vertex": v, "length": length},
+                            where,
                         )
                     if normal:
                         # empirical: no proof of this is recorded here
-                        check_normal(
-                            "whisker-normal", cw, c, {"vertex": v, "length": length}
+                        check_derived(
+                            "whisker-normal", lambda: derived_normal(cw), c, where
                         )
 
-        if bounds.include_graft and (d := is_uniform(c)) is not None:
-            if c.n * d > bounds.cm_max_vertices:
-                # the graft is beyond the guard of every graft check
-                skip("graft-cm")
-                if pp:
-                    skip("graft-pp")
-                if exact_mfmc:
-                    skip("graft-mfmc")
-                continue
+        if bounds.include_graft and is_uniform(c) is not None:
             gc = graft(c)
             details = {"graft": serialize_clutter(gc)}
             # the paper: a graft is Cohen-Macaulay and keeps packing and MFMC
-            check(
+            check_derived(
                 "graft-cm",
-                cm_mod.is_cohen_macaulay(
+                lambda: cm_mod.is_cohen_macaulay(
                     gc, field="Q", max_vertices=bounds.cm_max_vertices
                 ).cohen_macaulay,
                 c,
                 details,
             )
             if pp:
-                if gc.n > bounds.packing_max_vertices:
-                    skip("graft-pp")
-                else:
-                    check(
-                        "graft-pp",
-                        covering.has_packing_property(
-                            gc, max_vertices=bounds.packing_max_vertices
-                        ).holds,
-                        c,
-                        details,
-                    )
+                check_derived(
+                    "graft-pp",
+                    lambda: covering.has_packing_property(
+                        gc, max_vertices=bounds.packing_max_vertices
+                    ).holds,
+                    c,
+                    details,
+                )
             if exact_mfmc:
                 # with m_i the least weight on x_i's whisker, tau_u(gc) =
                 # sum(min(u_i, m_i)) + tau_{(u-m)+}(c), and packing the
                 # whiskers first reaches it, so MFMC (ideal and normal)
                 # carries from c to gc
-                ideal_gc = polyhedra.is_ideal_clutter(
-                    gc, max_vertices=bounds.cm_max_vertices
-                ).ideal
-                check_normal("graft-mfmc", gc, c, details, ideal=ideal_gc)
+                check_derived(
+                    "graft-mfmc",
+                    lambda: polyhedra.is_ideal_clutter(
+                        gc, max_vertices=bounds.cm_max_vertices
+                    ).ideal
+                    and derived_normal(gc),
+                    c,
+                    details,
+                )
     return summary
 
 

@@ -256,11 +256,11 @@ class TestPackingProperty:
         self.assert_brute_lex_first(g)
 
     def test_perfect_matching_is_pruned_at_the_root(self, monkeypatch):
-        # pairwise disjoint edges hold at once: no memo key is ever formed
-        def no_key(masks):
+        # pairwise disjoint edges hold at once: no vertex is ever deleted
+        def no_delete(edges, bit):
             raise AssertionError("the walk went past the root")
 
-        monkeypatch.setattr(covering, "_relabel", no_key)
+        monkeypatch.setattr(covering, "_delete", no_delete)
         c = parse_clutter("v: a b c d e f\ne: a b\ne: c d\ne: e f\n")
         assert has_packing_property(c).holds
 

@@ -443,6 +443,22 @@ class TestVerifyTheorems:
         assert summary.skipped["parall-normal"] == sum(n > 4 for n in sizes) == 16
         assert summary.checked["parall-normal"] == sum(n <= 4 for n in sizes) == 119
 
+    def test_derived_ntf_beyond_its_box_guard_is_skipped(self):
+        # at k = 32 the weight-(2, 2) parallelizations of the two 2-vertex
+        # clutters have 4 vertices, so 33^4 box points: past the NTF scan's
+        # limit of 2^20, they are skipped instead of aborting the run
+        summary = verify_theorems(
+            CorpusSpec(2),
+            VerifyBounds(max_power=32, include_whiskers=False, include_graft=False),
+        )
+        assert summary.skipped == {"ntf-parallelization": 2}
+        assert summary.checked["ntf-parallelization"] == 22
+
+    def test_corpus_verdict_beyond_its_guard_aborts(self):
+        # only derived checks turn a refusal into a skip
+        with pytest.raises(InstanceTooLargeError):
+            verify_theorems(CorpusSpec(3), VerifyBounds(packing_max_vertices=2))
+
     def test_five_vertex_graph_classes_pass(self):
         # C5 is NTF at k = 2 but not ideal, so it has no exact MFMC
         summary = verify_theorems(
