@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import covering
-from ._linalg import independent_rows
+from ._linalg import echelon
 from .core import Clutter, InstanceTooLargeError, _guard_vertices
 
 
@@ -213,7 +213,7 @@ def _betti(facets, fld: str, max_faces: int = 1 << 22) -> tuple[int, ...]:
                     sign = -sign
                     rest ^= low
                 rows.append(row)
-            ranks[k] = len(independent_rows(rows))
+            ranks[k] = len(echelon(rows, len(lower))[0])
     return tuple(
         len(by_dim.get(k, ())) - ranks.get(k, 0) - ranks.get(k + 1, 0)
         for k in range(-1, dim + 1)

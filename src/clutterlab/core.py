@@ -8,7 +8,8 @@ transformations in this module (minors, duplications, parallelizations,
 grafting, whiskers) are the combinatorial shadows of the matching ideal
 operations.
 
-Representation invariants, enforced by the ``Clutter`` constructor:
+Representation invariants, enforced by the ``Clutter`` constructor (and by
+construction in `parallelization` and `minor`, which skip its checks):
 
 * vertex labels are unique non-empty strings, kept in a fixed order;
 * every edge is a strictly increasing tuple of vertex indices;
@@ -171,6 +172,24 @@ def _canonical(labels, edge_index_sets, *, minimalize: bool) -> Clutter:
     return Clutter(new_labels, new_edges)
 
 
+def _trusted(labels, edges) -> Clutter:
+    """The Clutter on ``labels`` with the given edges, built without the
+    constructor's checks, for a transformation whose edges hold the
+    invariants by construction: strictly increasing index tuples, pairwise
+    distinct and incomparable.  Vertices left in no edge are dropped, and
+    the edges are sorted.
+    """
+    used = sorted(set().union(*edges))
+    if len(used) < len(labels):
+        remap = {old: new for new, old in enumerate(used)}
+        labels = [labels[i] for i in used]
+        edges = [tuple(remap[i] for i in e) for e in edges]
+    c = object.__new__(Clutter)
+    object.__setattr__(c, "vertices", tuple(labels))
+    object.__setattr__(c, "edges", tuple(sorted(edges)))
+    return c
+
+
 def make_clutter(vertices, edges) -> Clutter:
     """Construct a clutter from vertex labels and edges given as label sets.
 
@@ -284,27 +303,22 @@ def minor(c: Clutter, deleted=(), contracted=()) -> Clutter:
     con_idx = frozenset(c.index_of(v) for v in contracted)
     if del_idx & con_idx:
         raise ValueError("deleted and contracted sets must be disjoint")
-    new_sets = []
-    for e in c.edge_sets():
-        if e & del_idx:
-            continue
-        shrunk = e - con_idx
-        if not shrunk:
-            raise UnitIdealError(
-                "edge {%s} contracted away entirely"
-                % " ".join(sorted(c.vertices[i] for i in e))
-            )
-        new_sets.append(shrunk)
-    labels = tuple(
-        v for i, v in enumerate(c.vertices) if i not in del_idx and i not in con_idx
-    )
-    remap = {}
-    k = 0
-    for i in range(c.n):
-        if i not in del_idx and i not in con_idx:
-            remap[i] = k
-            k += 1
-    return _canonical(labels, [{remap[i] for i in s} for s in new_sets], minimalize=True)
+    edges = []
+    for e in c.edges:
+        if del_idx.isdisjoint(e):
+            shrunk = tuple(i for i in e if i not in con_idx)
+            if not shrunk:
+                raise UnitIdealError(
+                    "edge {%s} contracted away entirely"
+                    % " ".join(sorted(c.vertices[i] for i in e))
+                )
+            edges.append(shrunk)
+    if con_idx:
+        # contraction can make edges equal or comparable: keep one copy of
+        # each inclusion-minimal edge
+        sets = {frozenset(e): e for e in edges}
+        edges = [e for s, e in sets.items() if not any(t < s for t in sets)]
+    return _trusted(c.vertices, edges)
 
 
 def _copy_base(label: str) -> str:
@@ -426,14 +440,14 @@ def parallelization(c: Clutter, weights) -> Clutter:
             mine.append(len(labels))
             labels.append(name)
         copies.append(mine)
-    sets = []
-    for e in c.edge_sets():
-        if any(w[i] == 0 for i in e):
-            continue
-        members = sorted(e)
-        for choice in product(*[copies[i] for i in members]):
-            sets.append(frozenset(choice))
-    return _canonical(tuple(labels), sets, minimalize=False)
+    # one copy per vertex of an edge: the copies of distinct edges are
+    # distinct and incomparable, and each tuple is increasing because the
+    # copies are numbered in vertex order
+    edges = []
+    for e in c.edges:
+        if all(w[i] for i in e):
+            edges.extend(product(*[copies[i] for i in e]))
+    return _trusted(labels, edges)
 
 
 def is_uniform(c: Clutter):

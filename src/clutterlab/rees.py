@@ -11,10 +11,14 @@ Both normality and the Hilbert basis start from the same candidates, found
 exactly, in integer arithmetic only: a placing triangulation of the cone
 into simplicial subcones on generator rays, and the lattice points of each
 half-open fundamental parallelepiped, read off one adjugate per simplex.
-The initial simplex comes from `_linalg.independent_rows`.  Its
-facet normals are the columns of one adjugate, and its determinant is its
-volume.  The normals are the extreme rays of the dual cone, so each further
-generator g cuts them by <h, g> <= 0 with `_linalg.dd_step`.  Simplices are
+The initial simplex comes from one sparse elimination,
+`_linalg.gauss_jordan` on the generators augmented by their own indices:
+it picks the lexicographically first independent generators, its
+augmented columns hold the inverse, whose columns give the facet normals,
+and it carries the simplex's |det|, its volume.  The normals are the
+extreme rays of the dual cone, so each further generator g cuts them by
+<h, g> <= 0 with `_linalg.dd_step`; <h, g> is summed over the support of
+the 0/1 vector g.  Simplices are
 bitmasks of generator indices, and `dd_step` keeps for each normal h the
 mask of the processed generators on h, so "sigma has a facet on h" is one
 bit test.  The simplex glued onto that facet gets its volume from sigma's,
@@ -62,10 +66,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from math import lcm
+from operator import itemgetter, mul
 
 from . import covering
-from ._linalg import _det_adjugate, dd_step, independent_rows, primitive
+from ._linalg import _det_adjugate, dd_step, gauss_jordan, primitive
 from .core import (
     Clutter, InstanceTooLargeError, _earlier_twins, _guard_box, _integer,
     _vertex_vector,
@@ -158,28 +163,37 @@ def _candidates(cone: ReesCone):
     if all(sum(g) == 1 for g in gens):
         return gens, [], set()
 
-    # initial simplex: lexicographically first maximal independent generators
-    chosen = independent_rows(
-        [{k: x for k, x in enumerate(g) if x} for g in gens]
-    )[:D]
+    # initial simplex: the lexicographically first maximal independent
+    # generators.  Pivot row k holds p_k times row k of the simplex's
+    # inverse in the augmented columns D + i.  Column j of the inverse is
+    # orthogonal to every chosen ray but the j-th, so its primitive
+    # negative is the outward normal of the facet opposite that ray, and it
+    # vanishes on the bitmask of the other chosen generators
+    supports = [[k for k, x in enumerate(g) if x] for g in gens]
+    chosen, pivots, volume = gauss_jordan(
+        (dict.fromkeys(s, 1) for s in supports), D
+    )
     if len(chosen) < D:
         raise ValueError("cone must be full-dimensional or spanned by unit vectors")
     rest = [i for i in range(len(gens)) if i not in chosen]
-
-    # outward facet normals of the initial simplicial cone, each with the
-    # bitmask of processed generators it vanishes on: column j of the
-    # adjugate is orthogonal to every chosen ray but the j-th, and has dot
-    # product det with that one
-    det, adj = _det_adjugate([gens[i] for i in chosen])
-    sign = -1 if det > 0 else 1
-    normals = [primitive([sign * row[j] for row in adj]) for j in range(D)]
+    scale = lcm(*(p for p, _ in pivots.values()))
+    inverse = [(scale // p, row) for p, row in (pivots[k] for k in range(D))]
+    normals = [
+        primitive([-f * row.get(D + i, 0) for f, row in inverse]) for i in chosen
+    ]
     everything = sum(1 << i for i in chosen)
     zeros = [everything ^ (1 << i) for i in chosen]
     # the triangulation: bitmask of each simplex's generators -> its |det|
-    simplices = {everything: abs(det)}
+    simplices = {everything: volume}
 
     for idx in rest:
-        vals = [_dot(h, gens[idx]) for h in normals]
+        # <h, g> summed over the support of the 0/1 generator g
+        support = supports[idx]
+        if len(support) == 1:
+            vals = [h[support[0]] for h in normals]
+        else:
+            get = itemgetter(*support)
+            vals = [sum(get(h)) for h in normals]
 
         # extend the triangulation over the visible part of the boundary.
         # Every processed generator has <h, g> <= 0, so the mask z of those
@@ -195,7 +209,7 @@ def _candidates(cone: ReesCone):
                 if off & (off - 1) == 0:
                     r = off.bit_length() - 1
                     new_simplices[sigma ^ off | 1 << idx] = (
-                        volume * v // -_dot(h, gens[r])
+                        volume * v // -sum([h[k] for k in supports[r]])
                     )
         simplices.update(new_simplices)
 

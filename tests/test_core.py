@@ -1,5 +1,7 @@
 """Construction, parsing, canonical form, and the clutter transforms."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 
@@ -9,12 +11,14 @@ from clutterlab import (
     AntichainViolation,
     Clutter,
     ClutterSyntaxError,
+    CorpusSpec,
     DuplicateEdgeError,
     NotUniformError,
     UnitIdealError,
     UnknownVertexError,
     adjoin_whisker_edge,
     duplicate,
+    enumerate_clutters,
     graft,
     is_uniform,
     make_clutter,
@@ -231,6 +235,25 @@ class TestParallelization:
             used = set().union(*map(set, surviving)) if surviving else set()
             assert cp.q == expected_q
             assert cp.n == sum(w[i] for i in used)
+
+
+class TestTrustedConstruction:
+    """`parallelization` and `minor` build their clutters without the
+    constructor's checks; each output equals its revalidated copy."""
+
+    def test_outputs_pass_full_validation(self):
+        for c in enumerate_clutters(CorpusSpec(4)):
+            for w in product((0, 1, 2), repeat=c.n):
+                p = parallelization(c, w)
+                assert p == Clutter(p.vertices, p.edges)
+            for v in c.vertices:
+                m = minor(c, deleted=(v,))
+                assert m == Clutter(m.vertices, m.edges)
+                try:
+                    m = minor(c, contracted=(v,))
+                except UnitIdealError:
+                    continue
+                assert m == Clutter(m.vertices, m.edges)
 
 
 class TestUniformAndGraft:

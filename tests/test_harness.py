@@ -352,6 +352,44 @@ class TestBenchmarkMetricNames:
 
 
 class TestVerifyTheorems:
+    def test_golden_benchmark_operations(self):
+        # the two operations of the verify benchmark workload: a kernel
+        # change that moves any verdict, witness or count fails here
+        a = verify_theorems(CorpusSpec(4, uniform_size=2))
+        assert report_hash(a.reports) == (
+            "7a1b99c3b783a169b0f6cb6bc18dceb4850564f00e5e39ee4ba4b318a571e3a5"
+        )
+        assert a.lines() == [
+            "packing-implies-ideal: 63 checked, 0 violations",
+            "mfmc-implies-konig: 63 checked, 0 violations",
+            "mfmc-implies-packing: 63 checked, 0 violations",
+            "exact-mfmc-implies-bounded: 63 checked, 0 violations",
+            "mfmc-parall-konig: 2160 checked, 0 violations",
+            "parall-normal: 3807 checked, 0 violations",
+            "ntf-parallelization: 2160 checked, 0 violations",
+            "whisker-konig: 368 checked, 0 violations",
+            "whisker-packing: 272 checked, 0 violations",
+            "whisker-normal: 448 checked, 0 violations",
+            "graft-cm: 63 checked, 0 violations",
+            "graft-pp: 40 checked, 0 violations",
+            "graft-mfmc: 40 checked, 0 violations",
+        ]
+        b = verify_theorems(
+            CorpusSpec(5, uniform_size=2, isomorph_reject=True),
+            VerifyBounds(
+                include_graft=False,
+                include_parallelization=False,
+                include_whiskers=False,
+            ),
+        )
+        assert report_hash(b.reports) == (
+            "ade2b9a659443d175632e437e3907ec0dd98691f0acccb872c5dc1c75fb4b34f"
+        )
+        assert b.lines() == [
+            f"{name}: {33 if k < 4 else 0} checked, 0 violations"
+            for k, name in enumerate(_IMPLICATIONS)
+        ]
+
     def test_smallest_corpus_is_clean(self):
         summary = verify_theorems(CorpusSpec(2))
         assert len(summary.reports) == 4

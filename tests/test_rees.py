@@ -34,6 +34,7 @@ from clutterlab import (
 )
 from clutterlab import rees
 from clutterlab.core import _earlier_twins
+from clutterlab.polyhedra import _q_vertex_rays
 from clutterlab.rees import _normality, _ntf_certificate
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
@@ -111,6 +112,36 @@ class TestHilbertBasis:
         hb = hilbert_basis(rees_cone(TWO_TRIANGLES), max_edges=12)
         extra = set(hb.elements) - set(rees_cone(TWO_TRIANGLES).generators)
         assert extra == {(1, 1, 1, 1, 1, 1, 3)}
+
+    def test_facets_are_coordinates_and_covering_polyhedron_vertices(self):
+        # measured, not cited: on every clutter checked, the outward facet
+        # normals of the Rees cone are the coordinate facets -e_k (those
+        # whose hyperplane holds D - 1 independent generators) and one
+        # (-x, t) per vertex ray (x, t) of Q(A)
+        for spec in (
+            CorpusSpec(4),
+            CorpusSpec(5, isomorph_reject=True),
+            CorpusSpec(5, uniform_size=3, isomorph_reject=True),
+        ):
+            for c in enumerate_clutters(spec):
+                if not c.edges:
+                    continue
+                cone = rees_cone(c)
+                D = cone.dim
+                _, normals, _ = rees._candidates(cone)
+                coordinates = {
+                    tuple(-int(j == k) for j in range(D))
+                    for k in range(D)
+                    if oracles._rank_dense_q(
+                        [g for g in cone.generators if not g[k]]
+                    ) == D - 1
+                }
+                vertices = {
+                    tuple(-x for x in r[:-1]) + r[-1:]
+                    for r in _q_vertex_rays(c.n, c.edges)
+                }
+                assert len(normals) == len(set(normals))
+                assert set(normals) == coordinates | vertices
 
     def test_every_element_in_cone(self):
         for c in (SINGLE, TRIANGLE, C4):
