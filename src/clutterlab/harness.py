@@ -12,6 +12,15 @@ scan: a clutter has MFMC exactly when Q(A) is integral and R[It] is normal
 (Gitler-Valencia-Villarreal 2007; Gitler-Reyes-Villarreal 2009), and both
 `ideal` and `normal` are exact verdicts.
 
+`verify_theorems` checks each statement about a derived clutter once per
+isomorphism class of (corpus clutter, derivation).  A corpus clutter
+whose canonical form was met before adds the counts of the first clutter of
+its class; within a clutter, a weight vector or vertex is keyed by its least
+image under the relabelings that reach the canonical form, one coset of
+Aut(c), so the kernels run once per Aut(c)-orbit.  Every verdict and size
+guard involved reads the edge structure up to isomorphism, so the counts
+and the first violation are those of checking every labelled copy.
+
 `scan_conforti_cornuejols` filters the corpus to packing-property instances
 and reports the counterexamples to the packing-implies-MFMC conjecture.  A
 packing clutter is ideal (Lehman), so it fails MFMC exactly when it is not
@@ -28,7 +37,9 @@ import hashlib
 import io
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
+from functools import cache, partial
 from itertools import combinations, groupby, permutations, product
 from operator import add
 from typing import Iterator
@@ -87,19 +98,11 @@ class CorpusSpec:
             raise ValueError("max_edges must be positive")
 
 
-def _edge_key(edges) -> tuple:
-    """Canonical key of the clutter on the vertices that ``edges`` use.
-
-    ``edges`` are vertex-index tuples; indices that no edge uses are ignored,
-    as ``make_clutter`` drops those vertices.  Each vertex gets an invariant:
-    the sorted sizes of its edges (their number is its degree), refined once
-    by the sorted multiset, over its edges, of the members' size lists.
-    The key is the least sorted bitmask edge list over the relabelings that
-    send the vertices of each invariant class, taken in invariant order, onto
-    their own block of positions.  Isomorphic edge lists have the same
-    invariant classes and so the same set of relabeled lists, hence equal
-    keys; equal keys give equal relabeled lists, hence isomorphic ones.
-    """
+def _relabelings(edges):
+    """The head of `_edge_key` (used vertices, edges, sorted invariants),
+    the invariant classes in invariant order, and the edge masks of every
+    relabeling that respects them, in the order of the product of the
+    classes' ``permutations``."""
     incident: dict[int, list[int]] = {}
     for j, e in enumerate(edges):
         for v in e:
@@ -128,13 +131,55 @@ def _edge_key(edges) -> tuple:
             layer.append(part)
         relabelings = [list(map(add, r, part)) for r in relabelings for part in layer]
         start += len(block)
-    best = min(tuple(sorted(r)) for r in relabelings)
-    return (
-        len(order),
-        len(edges),
-        tuple(invariant[v] for v in order),
-        best,
-    )
+    head = (len(order), len(edges), tuple(invariant[v] for v in order))
+    return head, blocks, relabelings
+
+
+def _edge_key(edges) -> tuple:
+    """Canonical key of the clutter on the vertices that ``edges`` use.
+
+    ``edges`` are vertex-index tuples; indices that no edge uses are ignored,
+    as ``make_clutter`` drops those vertices.  Each vertex gets an invariant:
+    the sorted sizes of its edges (their number is its degree), refined once
+    by the sorted multiset, over its edges, of the members' size lists.
+    The key is the least sorted bitmask edge list over the relabelings that
+    send the vertices of each invariant class, taken in invariant order, onto
+    their own block of positions.  Isomorphic edge lists have the same
+    invariant classes and so the same set of relabeled lists, hence equal
+    keys; equal keys give equal relabeled lists, hence isomorphic ones.
+    """
+    head, _, relabelings = _relabelings(edges)
+    return head + (min(tuple(sorted(r)) for r in relabelings),)
+
+
+def _canonical_labellings(edges) -> tuple[tuple, list[tuple[int, ...]]]:
+    """`_edge_key` of ``edges`` and every relabeling that reaches its
+    minimum, each as the tuple of the vertices at positions 0, 1, ...
+
+    The minimizers are one coset of the automorphism group: if two
+    relabelings pi and rho both reach the canonical form, pi^-1 rho maps
+    the edges onto themselves, and pi composed with any automorphism
+    reaches it too.  So, for a parameter indexed by the vertices (a weight
+    vector, a vertex), the least of its images under the minimizers is the
+    same for two parameters exactly when an automorphism maps one onto the
+    other, and it is a canonical form of the pair (clutter, parameter).
+    """
+    head, blocks, relabelings = _relabelings(edges)
+    forms = [tuple(sorted(r)) for r in relabelings]
+    best = min(forms)
+    layers = [list(permutations(block)) for block in blocks]
+    labellings = []
+    for index, form in enumerate(forms):
+        if form != best:
+            continue
+        # relabelings[index] took the permutation index % len(layer) of
+        # the last block, and so on back to the first
+        perms = []
+        for layer in reversed(layers):
+            index, k = divmod(index, len(layer))
+            perms.append(layer[k])
+        labellings.append(tuple(v for perm in reversed(perms) for v in perm))
+    return head + (best,), labellings
 
 
 def isomorphism_key(c: Clutter) -> tuple:
@@ -471,23 +516,72 @@ def verify_theorems(
     clutter beyond the size guard of its check's kernel is counted as
     skipped, not checked; a corpus clutter beyond a guard of
     `check_properties` raises InstanceTooLargeError.
+
+    Every corpus clutter gets `check_properties` and the four corpus
+    checks.  The derived checks (parallelizations, whiskers, grafts) run
+    each kernel once per isomorphism class of (corpus clutter, derivation):
+
+    - Across corpus clutters.  A clutter whose canonical form
+      (`_canonical_labellings`) was met before adds the checked and skipped
+      counts that the first clutter of its class added, and runs no derived
+      kernel.
+    - Within one clutter.  A weight vector w or a vertex v is keyed by its
+      least image under the relabelings that reach the canonical form;
+      they are one coset of Aut(c), so two parameters share a key exactly
+      when an automorphism maps one onto the other.  Every parameter is
+      still walked and counted in the same order, but a kernel runs, and
+      its derived clutter is built, only on the first parameter of an
+      orbit; the others read that verdict.  The table is emptied for each
+      corpus clutter, and the per-class table holds counts only.
+
+    This changes no count and no violation.  An isomorphism sigma from c
+    to c' carries c^w to c'^(w o sigma^-1), c plus a whisker on v to c' plus
+    one on sigma(v), and the graft of c to that of c'.  Every verdict read
+    here (the gating `konig`, `packing`, `normal` and `ideal and normal`
+    of the corpus clutter, and each derived kernel's) depends on the edge
+    structure only, and every size guard on the vertex and edge numbers
+    and the bounds only, so isomorphic pairs get the same verdicts and the
+    same skips.  Hence each count is what a walk of every labelled copy
+    would give.  The first violation is unchanged too: a later clutter of a
+    class passes wherever its first clutter passed, and within a clutter
+    each parameter meets its own orbit's verdict in walk order, so the
+    first failing (clutter, check, parameter) and its details are those of
+    the unshared walk.
     """
     bounds = bounds or VerifyBounds()
     summary = VerificationSummary()
+    derived = (
+        bounds.include_parallelization
+        or bounds.include_whiskers
+        or bounds.include_graft
+    )
+    tallies = (summary.checked, summary.skipped)
+    # canonical form -> the (checked, skipped) counts its derived checks add
+    class_counts: dict[tuple, tuple[Counter, Counter]] = {}
+    # (check, least parameter image) -> its kernel's verdict on that orbit
+    orbit: dict = {}
 
     def check(name: str, condition: bool, c: Clutter, details: dict):
         summary.checked[name] = summary.checked.get(name, 0) + 1
         if not condition:
             raise TheoremViolationError(name, serialize_clutter(c), details)
 
-    def check_derived(name: str, kernel, c: Clutter, details: dict):
-        # the kernel runs under its own size guard; a refusal is a skip
-        try:
-            condition = kernel()
-        except InstanceTooLargeError:
+    def shared(name: str, key, kernel):
+        # the kernel runs once per orbit ``key`` of the current clutter,
+        # under its own size guard; a refusal is None
+        if (name, key) not in orbit:
+            try:
+                orbit[name, key] = kernel()
+            except InstanceTooLargeError:
+                orbit[name, key] = None
+        return orbit[name, key]
+
+    def check_derived(name: str, key, kernel, c: Clutter, details: dict):
+        verdict = shared(name, key, kernel)
+        if verdict is None:
             summary.skipped[name] = summary.skipped.get(name, 0) + 1
             return
-        check(name, condition, c, details)
+        check(name, verdict, c, details)
 
     def derived_normal(x: Clutter) -> bool:
         # a derived clutter answers to the graft guard; the hilbert_max_*
@@ -521,47 +615,83 @@ def verify_theorems(
             {"mfmc": mfmc, "ntf": ntf},
         )
 
+        if not derived:
+            continue
+        key, labellings = _canonical_labellings(c.edges)
+        if key in class_counts:
+            for counts, added in zip(tallies, class_counts[key]):
+                for name, k in added.items():
+                    counts[name] = counts.get(name, 0) + k
+            continue
+        before = [Counter(counts) for counts in tallies]
+        orbit.clear()
+
         if bounds.include_parallelization:
             for w in product(range(bounds.parallel_weight + 1), repeat=c.n):
-                cp = parallelization(c, w)
+                least = min(tuple(map(w.__getitem__, o)) for o in labellings)
+                cp = cache(partial(parallelization, c, w))
                 if exact_mfmc:
                     # tau(c^w) = tau_w and nu(c^w) = nu_w; and MFMC is closed
                     # under parallelization, so c^w is NTF
                     check(
                         "mfmc-parall-konig",
-                        covering.has_konig(cp),
+                        shared(
+                            "mfmc-parall-konig", least, lambda: covering.has_konig(cp())
+                        ),
                         c,
                         {"w": list(w)},
                     )
                     check_derived(
                         "ntf-parallelization",
-                        lambda: rees.is_ntf_bounded(cp, bounds.max_power).certified,
+                        least,
+                        lambda: rees.is_ntf_bounded(cp(), bounds.max_power).certified,
                         c,
                         {"w": list(w)},
                     )
                 if normal:
                     # the paper: normality is closed under parallelization
                     check_derived(
-                        "parall-normal", lambda: derived_normal(cp), c, {"w": list(w)}
+                        "parall-normal",
+                        least,
+                        lambda: derived_normal(cp()),
+                        c,
+                        {"w": list(w)},
                     )
 
         if bounds.include_whiskers:
-            for v in c.vertices:
-                deletion_konig = covering.has_konig(minor(c, deleted=(v,)))
+            for i, v in enumerate(c.vertices):
+                least = min(o.index(i) for o in labellings)
+                # c \ v is read only when c is Konig; its key is no check's
+                deletion_konig = konig and shared(
+                    "deletion-konig",
+                    least,
+                    lambda: covering.has_konig(minor(c, deleted=(v,))),
+                )
                 for length in bounds.whisker_lengths:
-                    cw = adjoin_whisker_edge(c, v, length)
+                    cw = cache(partial(adjoin_whisker_edge, c, v, length))
+                    orbit_v = (least, length)
                     where = {"vertex": v, "length": length}
-                    if konig and deletion_konig:
+                    if deletion_konig:
                         # with e the whisker edge on v:
                         # tau(c+e) = 1+tau(c\v) <= 1+nu(c\v) <= nu(c+e)
-                        check("whisker-konig", covering.has_konig(cw), c, where)
+                        check(
+                            "whisker-konig",
+                            shared(
+                                "whisker-konig",
+                                orbit_v,
+                                lambda: covering.has_konig(cw()),
+                            ),
+                            c,
+                            where,
+                        )
                     if pp:
                         # a minor of c+e is a minor of c, or one plus a whisker
                         # edge, which keeps Konig by the argument above
                         check_derived(
                             "whisker-packing",
+                            orbit_v,
                             lambda: covering.has_packing_property(
-                                cw, max_vertices=bounds.packing_max_vertices
+                                cw(), max_vertices=bounds.packing_max_vertices
                             ).holds,
                             c,
                             where,
@@ -569,7 +699,11 @@ def verify_theorems(
                     if normal:
                         # empirical: no proof of this is recorded here
                         check_derived(
-                            "whisker-normal", lambda: derived_normal(cw), c, where
+                            "whisker-normal",
+                            orbit_v,
+                            lambda: derived_normal(cw()),
+                            c,
+                            where,
                         )
 
         if bounds.include_graft and is_uniform(c) is not None:
@@ -578,6 +712,7 @@ def verify_theorems(
             # the paper: a graft is Cohen-Macaulay and keeps packing and MFMC
             check_derived(
                 "graft-cm",
+                None,
                 lambda: cm_mod.is_cohen_macaulay(
                     gc, field="Q", max_vertices=bounds.cm_max_vertices
                 ).cohen_macaulay,
@@ -587,6 +722,7 @@ def verify_theorems(
             if pp:
                 check_derived(
                     "graft-pp",
+                    None,
                     lambda: covering.has_packing_property(
                         gc, max_vertices=bounds.packing_max_vertices
                     ).holds,
@@ -600,6 +736,7 @@ def verify_theorems(
                 # carries from c to gc
                 check_derived(
                     "graft-mfmc",
+                    None,
                     lambda: polyhedra.is_ideal_clutter(
                         gc, max_vertices=bounds.cm_max_vertices
                     ).ideal
@@ -607,6 +744,10 @@ def verify_theorems(
                     c,
                     details,
                 )
+
+        class_counts[key] = tuple(
+            Counter(counts) - old for counts, old in zip(tallies, before)
+        )
     return summary
 
 

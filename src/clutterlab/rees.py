@@ -148,20 +148,30 @@ def _dot(h, g) -> int:
     return sum(map(mul, h, g))
 
 
-def _candidates(cone: ReesCone):
-    """(generators, facet normals, parallelepiped points) of the cone.
+def _supports(generators) -> list[list[int]]:
+    return [[k for k, x in enumerate(g) if x] for g in generators]
 
-    The generators come without repeats, in order.  The points are the
-    nonzero lattice points of the half-open fundamental parallelepipeds of
-    the placing triangulation's simplices, from `_parallelepiped_points` on
-    each simplex of volume above 1; with the generators they contain the
-    Hilbert basis.  A cone spanned by unit vectors alone is the orthant
-    of their span: it has no points and no normals are needed.
+
+def _dense(support, D: int) -> tuple[int, ...]:
+    vec = [0] * D
+    for k in support:
+        vec[k] = 1
+    return tuple(vec)
+
+
+def _candidates(D: int, supports):
+    """(facet normals, parallelepiped points) of the cone in ZZ^D spanned by
+    the distinct 0/1 generators with these supports, taken in order.
+
+    The points are the nonzero lattice points of the half-open fundamental
+    parallelepipeds of the placing triangulation's simplices, from
+    `_parallelepiped_points` on each simplex of volume above 1; with the
+    generators they contain the Hilbert basis.  A cone spanned by unit
+    vectors alone is the orthant of their span: it has no points and no
+    normals are needed.
     """
-    D = cone.dim
-    gens = list(dict.fromkeys(cone.generators))
-    if all(sum(g) == 1 for g in gens):
-        return gens, [], set()
+    if all(len(s) == 1 for s in supports):
+        return [], set()
 
     # initial simplex: the lexicographically first maximal independent
     # generators.  Pivot row k holds p_k times row k of the simplex's
@@ -169,13 +179,12 @@ def _candidates(cone: ReesCone):
     # orthogonal to every chosen ray but the j-th, so its primitive
     # negative is the outward normal of the facet opposite that ray, and it
     # vanishes on the bitmask of the other chosen generators
-    supports = [[k for k, x in enumerate(g) if x] for g in gens]
     chosen, pivots, volume = gauss_jordan(
         (dict.fromkeys(s, 1) for s in supports), D
     )
     if len(chosen) < D:
         raise ValueError("cone must be full-dimensional or spanned by unit vectors")
-    rest = [i for i in range(len(gens)) if i not in chosen]
+    rest = [i for i in range(len(supports)) if i not in chosen]
     scale = lcm(*(p for p, _ in pivots.values()))
     inverse = [(scale // p, row) for p, row in (pivots[k] for k in range(D))]
     normals = [
@@ -223,9 +232,10 @@ def _candidates(cone: ReesCone):
     for sigma, volume in simplices.items():
         if volume > 1:
             points.update(_parallelepiped_points(
-                [g for i, g in enumerate(gens) if sigma >> i & 1], volume
+                [_dense(s, D) for i, s in enumerate(supports) if sigma >> i & 1],
+                volume,
             ))
-    return gens, normals, points
+    return normals, points
 
 
 def _parallelepiped_points(rays, volume: int) -> list[tuple[int, ...]]:
@@ -269,7 +279,8 @@ def _parallelepiped_points(rays, volume: int) -> list[tuple[int, ...]]:
 
 
 def _hilbert_basis(cone: ReesCone) -> HilbertBasis:
-    gens, normals, points = _candidates(cone)
+    gens = list(dict.fromkeys(cone.generators))
+    normals, points = _candidates(cone.dim, _supports(gens))
     # grading sieve: accept exactly the irreducible lattice points.  A unit
     # vector cone has no normals, and no unit vector reduces another
     accepted: list[tuple[int, ...]] = []
@@ -378,9 +389,15 @@ def is_normal(
 
 @lru_cache(maxsize=1024)
 def _normality(s: _Structure) -> NormalityVerdict:
+    # the supports of the Rees cone's generators, in `rees_cone`'s order,
+    # taken straight from the edges
     c = s.clutter
-    gens, _, points = _candidates(rees_cone(c))
-    for element in sorted(points.difference(gens), key=_degree_lex):
+    n = c.n
+    supports = [[*e, n] for e in c.edges] + [[k] for k in range(n)]
+    _, points = _candidates(n + 1, supports)
+    if points:
+        points -= {_dense(g, n + 1) for g in supports}
+    for element in sorted(points, key=_degree_lex):
         a, b = element[: c.n], element[c.n]
         if not power_membership(c, a, b):
             return NormalityVerdict(normal=False, witness=(a, b))

@@ -602,6 +602,17 @@ def brute_isomorphism_key(c):
     return (c.n, c.q, best)
 
 
+def brute_automorphisms(c):
+    """Every vertex permutation (as the tuple of images) that maps the edge
+    set onto itself, by exhaustion over all n! permutations."""
+    edges = {frozenset(e) for e in c.edges}
+    return [
+        perm
+        for perm in permutations(range(c.n))
+        if {frozenset(perm[v] for v in e) for e in edges} == edges
+    ]
+
+
 def brute_isomorph_free(clutters):
     """First representative of each isomorphism class, in stream order."""
     seen = set()

@@ -5,7 +5,7 @@ from itertools import combinations
 
 from hypothesis import strategies as st
 
-from clutterlab import adjoin_whisker_edge, make_clutter
+from clutterlab import adjoin_whisker_edge, graft, make_clutter, parallelization
 
 
 def _minimal_antichain(edge_sets):
@@ -88,6 +88,22 @@ def whiskered_clutters(draw, max_n=8):
         length = draw(st.integers(min_value=1, max_value=min(2, max_n - c.n)))
         c = adjoin_whisker_edge(c, vertex, length)
     return c
+
+
+@st.composite
+def derived_clutters(draw, max_n=4):
+    """A clutter as the theorem suite derives it from a corpus clutter on at
+    most ``max_n`` vertices: a parallelization by weights in {0, 1, 2}, a
+    clutter with whisker edges, or the graft of a uniform clutter."""
+    kind = draw(st.sampled_from(["parallelization", "whiskers", "graft"]))
+    if kind == "parallelization":
+        c = draw(clutters(max_n=max_n, max_q=4))
+        w = draw(st.lists(st.integers(0, 2), min_size=c.n, max_size=c.n))
+        return parallelization(c, w)
+    if kind == "whiskers":
+        return draw(whiskered_clutters(max_n=max_n + 3))
+    size = draw(st.integers(min_value=2, max_value=3))
+    return graft(draw(uniform_clutters(max_n=max_n, size=size, max_q=4)))
 
 
 def random_clutter(rng: random.Random, max_n=5, max_q=5):

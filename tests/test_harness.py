@@ -19,6 +19,7 @@ import strategies
 from clutterlab import (
     CorpusSpec,
     InstanceTooLargeError,
+    NormalityVerdict,
     PropertyReport,
     PropertyVerdict,
     TheoremViolationError,
@@ -27,12 +28,14 @@ from clutterlab import (
     emit_report,
     enumerate_Q_vertices,
     enumerate_clutters,
+    has_konig,
     has_packing_property,
     hilbert_basis,
     independence_complex,
     is_cohen_macaulay,
     is_ideal_clutter,
     is_normal,
+    is_ntf_bounded,
     isomorphism_key,
     make_clutter,
     parallelization,
@@ -45,8 +48,9 @@ from clutterlab import (
     solve_lp_exact,
     verify_theorems,
 )
+from clutterlab import rees
 from clutterlab.cli import main
-from clutterlab.harness import _IMPLICATIONS, _edge_key
+from clutterlab.harness import _IMPLICATIONS, _canonical_labellings, _edge_key
 
 TRIANGLE = parse_clutter("v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n")
 TRIANGLE_TEXT = "v: x1 x2 x3\ne: x1 x2\ne: x1 x3\ne: x2 x3\n"
@@ -186,6 +190,74 @@ class TestIsomorphismKey:
         spread = sorted(rng.sample(range(2 * c.n + 2), c.n))
         edges = [tuple(spread[v] for v in e) for e in c.edges]
         assert _edge_key(edges) == isomorphism_key(c)
+
+
+def _masks(edges, order):
+    """The sorted bitmask edge list of ``edges`` with vertex order[i] at
+    position i."""
+    position = {v: i for i, v in enumerate(order)}
+    return tuple(sorted(sum(1 << position[v] for v in e) for e in edges))
+
+
+def _permuted(c, perm):
+    """c with vertex i moved to index perm[i]: the same clutter up to
+    isomorphism, with another edge structure (n, edges) in general."""
+    labels = [f"p{k}" for k in range(c.n)]
+    return make_clutter(labels, [[labels[perm[v]] for v in e] for e in c.edges])
+
+
+class TestOrbitSharing:
+    """The facts behind `verify_theorems` running each derived kernel once
+    per isomorphism class of (corpus clutter, derivation)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(strategies.clutters(max_n=5, max_q=6))
+    def test_minimizers_are_one_automorphism_coset(self, c):
+        key, orders = _canonical_labellings(c.edges)
+        assert key == _edge_key(c.edges)
+        assert all(_masks(c.edges, order) == key[-1] for order in orders)
+        # every minimizer is the first one followed by an automorphism,
+        # and each automorphism gives one
+        autos = oracles.brute_automorphisms(c)
+        assert len(orders) == len(set(orders)) == len(autos)
+        assert set(orders) == {tuple(a[v] for v in orders[0]) for a in autos}
+
+    @settings(max_examples=60, deadline=None)
+    @given(strategies.clutters(max_n=5, max_q=6))
+    def test_least_images_key_the_automorphism_orbits(self, c):
+        _, orders = _canonical_labellings(c.edges)
+        autos = oracles.brute_automorphisms(c)
+
+        def least(w):
+            return min(tuple(w[v] for v in order) for order in orders)
+
+        def orbit(w):
+            return frozenset(tuple(w[a[v]] for v in range(c.n)) for a in autos)
+
+        weights = list(itertools.product(range(2), repeat=c.n))
+        for w in weights:
+            assert {least(u) == least(w) for u in orbit(w)} == {True}
+        assert len({least(w) for w in weights}) == len({orbit(w) for w in weights})
+        vertex_keys = [min(order.index(v) for order in orders) for v in range(c.n)]
+        for v in range(c.n):
+            mates = {u for u in range(c.n) if vertex_keys[u] == vertex_keys[v]}
+            assert mates == {a[v] for a in autos}
+
+    @settings(max_examples=100, deadline=None)
+    @given(strategies.derived_clutters(), st.randoms(use_true_random=False))
+    def test_derived_verdicts_are_permutation_invariant(self, x, rng):
+        perm = list(range(x.n))
+        rng.shuffle(perm)
+        y = _permuted(x, perm)
+        for verdict in (
+            lambda c: is_normal(c, max_vertices=16, max_edges=c.q).normal,
+            lambda c: is_ntf_bounded(c, 2).certified,
+            has_konig,
+            lambda c: has_packing_property(c).holds,
+            lambda c: is_ideal_clutter(c).ideal,
+            lambda c: is_cohen_macaulay(c).cohen_macaulay,
+        ):
+            assert verdict(y) == verdict(x)
 
 
 class TestCheckProperties:
@@ -389,6 +461,88 @@ class TestVerifyTheorems:
             f"{name}: {33 if k < 4 else 0} checked, 0 violations"
             for k, name in enumerate(_IMPLICATIONS)
         ]
+
+    def test_antichain_corpus_summary(self):
+        # `clutterlab verify --n 4`: every antichain on at most 4 vertices
+        summary = verify_theorems(CorpusSpec(4))
+        assert report_hash(summary.reports) == (
+            "6d69ccfacba666d5f45af281d2e998d1d6b755e3c872890236a49d09d28e556b"
+        )
+        assert summary.lines() == [
+            "packing-implies-ideal: 166 checked, 0 violations",
+            "mfmc-implies-konig: 166 checked, 0 violations",
+            "mfmc-implies-packing: 166 checked, 0 violations",
+            "exact-mfmc-implies-bounded: 166 checked, 0 violations",
+            "mfmc-parall-konig: 6168 checked, 0 violations",
+            "parall-normal: 10326 checked, 0 violations",
+            "ntf-parallelization: 6168 checked, 0 violations",
+            "whisker-konig: 888 checked, 0 violations",
+            "whisker-packing: 760 checked, 0 violations",
+            "whisker-normal: 1184 checked, 0 violations",
+            "graft-cm: 94 checked, 0 violations",
+            "graft-pp: 65 checked, 0 violations (skipped 1)",
+            "graft-mfmc: 66 checked, 0 violations",
+        ]
+
+    def test_derived_kernels_run_once_per_orbit(self, monkeypatch):
+        # CorpusSpec(4, uniform_size=2) checks 3,807 parallelizations and
+        # 448 whiskers for normality and 2,160 parallelizations for NTF.
+        # Its 63 clutters fall into 10 classes, and one call per orbit of
+        # each class, plus one per corpus verdict, leaves these counts
+        calls = {"is_normal": 0, "is_ntf_bounded": 0}
+        for name in calls:
+            kernel = getattr(rees, name)
+
+            def counted(*args, _kernel=kernel, _name=name, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+
+            monkeypatch.setattr(rees, name, counted)
+        verify_theorems(CorpusSpec(4, uniform_size=2))
+        assert calls == {"is_normal": 357, "is_ntf_bounded": 204}
+
+    # K_{2,3}: the parallelizations of a 2-edge path with weight 2 on its
+    # middle vertex and on one end
+    K23 = "v: a b c d e\ne: a c\ne: a d\ne: a e\ne: b c\ne: b d\ne: b e\n"
+
+    @pytest.mark.parametrize(
+        "spec, clutter_text, w",
+        [
+            (
+                CorpusSpec(3, uniform_size=2),
+                "v: x1 x2 x3\ne: x1 x2\ne: x1 x3\n",
+                [2, 1, 2],
+            ),
+            (
+                CorpusSpec(4),
+                "v: x1 x2 x3 x4\ne: x1\ne: x2 x3\ne: x2 x4\n",
+                [0, 2, 1, 2],
+            ),
+        ],
+        ids=["n3-d2", "n4"],
+    )
+    def test_planted_failure_keeps_the_first_violation(
+        self, spec, clutter_text, w, monkeypatch
+    ):
+        # derived normality says "not normal" on one isomorphism class of
+        # parallelizations; the violation is still the first failing
+        # (clutter, w) in walk order, with the path's other end at weight 2
+        # (its orbit mate under the automorphism comes later)
+        target = isomorphism_key(parse_clutter(self.K23))
+        derived_guard = VerifyBounds().cm_max_vertices
+        original = rees.is_normal
+
+        def planted(x, max_vertices=8, max_edges=24):
+            if max_vertices == derived_guard and isomorphism_key(x) == target:
+                return NormalityVerdict(normal=False, witness=((0,) * x.n, 1))
+            return original(x, max_vertices, max_edges)
+
+        monkeypatch.setattr(rees, "is_normal", planted)
+        with pytest.raises(TheoremViolationError) as info:
+            verify_theorems(spec)
+        assert info.value.implication == "parall-normal"
+        assert info.value.clutter_text == clutter_text
+        assert info.value.details == {"w": w}
 
     def test_smallest_corpus_is_clean(self):
         summary = verify_theorems(CorpusSpec(2))

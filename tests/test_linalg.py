@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import oracles
 from clutterlab import make_clutter
 from clutterlab._linalg import _det_adjugate, dd_step, echelon, gauss_jordan
-from clutterlab.rees import _candidates, rees_cone
+from clutterlab.rees import _candidates, _supports, rees_cone
 
 square_int_matrices = st.integers(min_value=0, max_value=6).flatmap(
     lambda n: st.lists(
@@ -150,7 +150,7 @@ def test_rees_cone_with_initial_volume_two():
     # its one parallelepiped point, x1 x3 x4 x5 t^2, is half the sum of the
     # lifted edges x1, x3x4, x3x5 and x4x5, and it is among the candidates
     assert oracles.brute_parallelepiped_points(rays, 2) == {(1, 0, 1, 1, 1, 2)}
-    assert (1, 0, 1, 1, 1, 2) in _candidates(cone)[2]
+    assert (1, 0, 1, 1, 1, 2) in _candidates(cone.dim, _supports(cone.generators))[1]
 
 
 def test_dd_step_cuts_the_orthant():

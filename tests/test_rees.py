@@ -128,7 +128,7 @@ class TestHilbertBasis:
                     continue
                 cone = rees_cone(c)
                 D = cone.dim
-                _, normals, _ = rees._candidates(cone)
+                normals, _ = rees._candidates(D, rees._supports(cone.generators))
                 coordinates = {
                     tuple(-int(j == k) for j in range(D))
                     for k in range(D)
@@ -249,7 +249,8 @@ class TestHilbertBasis:
             return original(rays, volume)
 
         monkeypatch.setattr(rees, "_parallelepiped_points", recorded)
-        rees._candidates(rees_cone(c))
+        cone = rees_cone(c)
+        rees._candidates(cone.dim, rees._supports(cone.generators))
         assert simplices
         for rays, volume in simplices:
             points = original(rays, volume)
