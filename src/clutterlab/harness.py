@@ -264,6 +264,9 @@ class VerifyBounds:
     max_power: power bound k for bounded normality / torsion-freeness.
     parallel_weight: parallelization sweeps use w in {0..this}^n.
     whisker_lengths: whisker edge lengths tested at every vertex.
+    include_parallelization, include_whiskers, include_graft: run the
+        derived checks on the parallelizations, the whisker extensions or
+        the graft of each corpus clutter; each must be a bool.
     hilbert_max_vertices, hilbert_max_edges: the corpus `normal` verdict.
     cm_max_vertices: grafts (`graft-cm`, `graft-mfmc`) and every normality
         check on a derived clutter (`parall-normal`, `whisker-normal`).
@@ -295,6 +298,9 @@ class VerifyBounds:
         for length in self.whisker_lengths:
             if _integer(length, "whisker length") < 1:
                 raise ValueError("whisker lengths must be positive")
+        for name in ("include_graft", "include_parallelization", "include_whiskers"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be a bool")
         for name in (
             "hilbert_max_vertices", "hilbert_max_edges", "cm_max_vertices",
             "packing_max_vertices", "ideal_max_vertices",
@@ -470,21 +476,104 @@ class TheoremViolationError(ClutterError):
         )
 
 
+def _derived_normal(x: Clutter, bounds: VerifyBounds) -> bool:
+    # a derived clutter answers to the graft guard; the hilbert_max_*
+    # bounds hold for the corpus `normal` verdict only
+    return rees.is_normal(x, max_vertices=bounds.cm_max_vertices, max_edges=x.q).normal
+
+
+def _packs(x: Clutter, bounds: VerifyBounds) -> bool:
+    return covering.has_packing_property(
+        x, max_vertices=bounds.packing_max_vertices
+    ).holds
+
+
+# The checks on derived clutters, as (name, derivation, gate, kernel), in
+# the order of the summary and of the checks on one parameter.  A row runs
+# on each clutter x of its derivation whose gate holds: a verdict of the
+# corpus clutter c, `deletion_konig` (c \ v is Konig), or None for always.
+# It asserts kernel(x, bounds); a kernel's InstanceTooLargeError is a skip.
+_DERIVED = (
+    # tau(c^w) = tau_w and nu(c^w) = nu_w, equal under exact MFMC
+    ("mfmc-parall-konig", "parall", "exact_mfmc", lambda x, _: covering.has_konig(x)),
+    # the paper: normality is closed under parallelization
+    ("parall-normal", "parall", "normal", _derived_normal),
+    # MFMC is closed under parallelization, so c^w is NTF
+    (
+        "ntf-parallelization",
+        "parall",
+        "exact_mfmc",
+        lambda x, bounds: rees.is_ntf_bounded(x, bounds.max_power).certified,
+    ),
+    # with e the whisker edge on v: tau(c+e) = 1+tau(c\v) <= 1+nu(c\v) <= nu(c+e)
+    ("whisker-konig", "whisker", "deletion_konig", lambda x, _: covering.has_konig(x)),
+    # a minor of c+e is a minor of c, or one plus a whisker edge, which
+    # keeps Konig by the argument above
+    ("whisker-packing", "whisker", "pp", _packs),
+    # empirical: no proof of this is recorded here
+    ("whisker-normal", "whisker", "normal", _derived_normal),
+    # the paper: a graft is Cohen-Macaulay and keeps packing and MFMC
+    (
+        "graft-cm",
+        "graft",
+        None,
+        lambda x, bounds: cm_mod.is_cohen_macaulay(
+            x, field="Q", max_vertices=bounds.cm_max_vertices
+        ).cohen_macaulay,
+    ),
+    ("graft-pp", "graft", "pp", _packs),
+    # with m_i the least weight on x_i's whisker, tau_u(gc) =
+    # sum(min(u_i, m_i)) + tau_{(u-m)+}(c), and packing the whiskers first
+    # reaches it, so MFMC (ideal and normal) carries from c to gc
+    (
+        "graft-mfmc",
+        "graft",
+        "exact_mfmc",
+        lambda x, bounds: polyhedra.is_ideal_clutter(
+            x, max_vertices=bounds.cm_max_vertices
+        ).ideal
+        and _derived_normal(x, bounds),
+    ),
+)
+
 _IMPLICATIONS = (
     "packing-implies-ideal",
     "mfmc-implies-konig",
     "mfmc-implies-packing",
     "exact-mfmc-implies-bounded",
-    "mfmc-parall-konig",
-    "parall-normal",
-    "ntf-parallelization",
-    "whisker-konig",
-    "whisker-packing",
-    "whisker-normal",
-    "graft-cm",
-    "graft-pp",
-    "graft-mfmc",
-)
+) + tuple(name for name, *_ in _DERIVED)
+
+
+def _parameters(c: Clutter, labellings, bounds: VerifyBounds, gates: dict):
+    """The derived clutters of c in walk order: the weight vectors w, the
+    (vertex, length) pairs, then the graft.  Each is yielded as (derivation,
+    orbit key, lazy builder, violation details, gates), the orbit key being
+    the least image of the parameter under ``labellings``."""
+    if bounds.include_parallelization:
+        for w in product(range(bounds.parallel_weight + 1), repeat=c.n):
+            least = min(tuple(map(w.__getitem__, o)) for o in labellings)
+            yield "parall", least, partial(parallelization, c, w), {"w": list(w)}, gates
+    if bounds.include_whiskers:
+        deletion_konig: dict[int, bool] = {}
+        for i, v in enumerate(c.vertices):
+            least = min(o.index(i) for o in labellings)
+            # c \ v is read only when c is Konig, once per vertex orbit
+            if least not in deletion_konig:
+                deletion_konig[least] = gates["konig"] and covering.has_konig(
+                    minor(c, deleted=(v,))
+                )
+            vertex_gates = dict(gates, deletion_konig=deletion_konig[least])
+            for length in bounds.whisker_lengths:
+                yield (
+                    "whisker",
+                    (least, length),
+                    partial(adjoin_whisker_edge, c, v, length),
+                    {"vertex": v, "length": length},
+                    vertex_gates,
+                )
+    if bounds.include_graft and is_uniform(c) is not None:
+        gc = graft(c)
+        yield "graft", None, lambda: gc, {"graft": serialize_clutter(gc)}, gates
 
 
 @dataclass(slots=True)
@@ -509,7 +598,7 @@ def verify_theorems(
     """Run the full implication suite over the corpus.
 
     Each implication is a theorem at the bounds used, with its reason given
-    where it is checked, except `whisker-normal`, which is empirical.  The
+    in the table, except `whisker-normal`, which is empirical.  The
     checks that need exact max-flow min-cut rest on ``ideal and normal``.
     A single failure raises TheoremViolationError: the suite doubles as the
     deepest integration test of the modules against one another.  A derived
@@ -518,8 +607,11 @@ def verify_theorems(
     `check_properties` raises InstanceTooLargeError.
 
     Every corpus clutter gets `check_properties` and the four corpus
-    checks.  The derived checks (parallelizations, whiskers, grafts) run
-    each kernel once per isomorphism class of (corpus clutter, derivation):
+    checks.  The derived checks (parallelizations, whiskers, grafts) are
+    the one table `_DERIVED`: each parameter from `_parameters` runs every
+    row of its derivation whose gate holds.  The table's order is both the
+    summary order and the order of the checks within one parameter.  Each
+    kernel runs once per isomorphism class of (corpus clutter, derivation):
 
     - Across corpus clutters.  A clutter whose canonical form
       (`_canonical_labellings`) was met before adds the checked and skipped
@@ -550,44 +642,14 @@ def verify_theorems(
     """
     bounds = bounds or VerifyBounds()
     summary = VerificationSummary()
-    derived = (
-        bounds.include_parallelization
-        or bounds.include_whiskers
-        or bounds.include_graft
-    )
     tallies = (summary.checked, summary.skipped)
     # canonical form -> the (checked, skipped) counts its derived checks add
     class_counts: dict[tuple, tuple[Counter, Counter]] = {}
-    # (check, least parameter image) -> its kernel's verdict on that orbit
-    orbit: dict = {}
 
     def check(name: str, condition: bool, c: Clutter, details: dict):
         summary.checked[name] = summary.checked.get(name, 0) + 1
         if not condition:
             raise TheoremViolationError(name, serialize_clutter(c), details)
-
-    def shared(name: str, key, kernel):
-        # the kernel runs once per orbit ``key`` of the current clutter,
-        # under its own size guard; a refusal is None
-        if (name, key) not in orbit:
-            try:
-                orbit[name, key] = kernel()
-            except InstanceTooLargeError:
-                orbit[name, key] = None
-        return orbit[name, key]
-
-    def check_derived(name: str, key, kernel, c: Clutter, details: dict):
-        verdict = shared(name, key, kernel)
-        if verdict is None:
-            summary.skipped[name] = summary.skipped.get(name, 0) + 1
-            return
-        check(name, verdict, c, details)
-
-    def derived_normal(x: Clutter) -> bool:
-        # a derived clutter answers to the graft guard; the hilbert_max_*
-        # bounds hold for the corpus `normal` verdict only
-        guard = {"max_vertices": bounds.cm_max_vertices, "max_edges": x.q}
-        return rees.is_normal(x, **guard).normal
 
     for c in enumerate_clutters(spec):
         report = check_properties(c, bounds)
@@ -615,8 +677,6 @@ def verify_theorems(
             {"mfmc": mfmc, "ntf": ntf},
         )
 
-        if not derived:
-            continue
         key, labellings = _canonical_labellings(c.edges)
         if key in class_counts:
             for counts, added in zip(tallies, class_counts[key]):
@@ -624,127 +684,27 @@ def verify_theorems(
                     counts[name] = counts.get(name, 0) + k
             continue
         before = [Counter(counts) for counts in tallies]
-        orbit.clear()
-
-        if bounds.include_parallelization:
-            for w in product(range(bounds.parallel_weight + 1), repeat=c.n):
-                least = min(tuple(map(w.__getitem__, o)) for o in labellings)
-                cp = cache(partial(parallelization, c, w))
-                if exact_mfmc:
-                    # tau(c^w) = tau_w and nu(c^w) = nu_w; and MFMC is closed
-                    # under parallelization, so c^w is NTF
-                    check(
-                        "mfmc-parall-konig",
-                        shared(
-                            "mfmc-parall-konig", least, lambda: covering.has_konig(cp())
-                        ),
-                        c,
-                        {"w": list(w)},
-                    )
-                    check_derived(
-                        "ntf-parallelization",
-                        least,
-                        lambda: rees.is_ntf_bounded(cp(), bounds.max_power).certified,
-                        c,
-                        {"w": list(w)},
-                    )
-                if normal:
-                    # the paper: normality is closed under parallelization
-                    check_derived(
-                        "parall-normal",
-                        least,
-                        lambda: derived_normal(cp()),
-                        c,
-                        {"w": list(w)},
-                    )
-
-        if bounds.include_whiskers:
-            for i, v in enumerate(c.vertices):
-                least = min(o.index(i) for o in labellings)
-                # c \ v is read only when c is Konig; its key is no check's
-                deletion_konig = konig and shared(
-                    "deletion-konig",
-                    least,
-                    lambda: covering.has_konig(minor(c, deleted=(v,))),
-                )
-                for length in bounds.whisker_lengths:
-                    cw = cache(partial(adjoin_whisker_edge, c, v, length))
-                    orbit_v = (least, length)
-                    where = {"vertex": v, "length": length}
-                    if deletion_konig:
-                        # with e the whisker edge on v:
-                        # tau(c+e) = 1+tau(c\v) <= 1+nu(c\v) <= nu(c+e)
-                        check(
-                            "whisker-konig",
-                            shared(
-                                "whisker-konig",
-                                orbit_v,
-                                lambda: covering.has_konig(cw()),
-                            ),
-                            c,
-                            where,
-                        )
-                    if pp:
-                        # a minor of c+e is a minor of c, or one plus a whisker
-                        # edge, which keeps Konig by the argument above
-                        check_derived(
-                            "whisker-packing",
-                            orbit_v,
-                            lambda: covering.has_packing_property(
-                                cw(), max_vertices=bounds.packing_max_vertices
-                            ).holds,
-                            c,
-                            where,
-                        )
-                    if normal:
-                        # empirical: no proof of this is recorded here
-                        check_derived(
-                            "whisker-normal",
-                            orbit_v,
-                            lambda: derived_normal(cw()),
-                            c,
-                            where,
-                        )
-
-        if bounds.include_graft and is_uniform(c) is not None:
-            gc = graft(c)
-            details = {"graft": serialize_clutter(gc)}
-            # the paper: a graft is Cohen-Macaulay and keeps packing and MFMC
-            check_derived(
-                "graft-cm",
-                None,
-                lambda: cm_mod.is_cohen_macaulay(
-                    gc, field="Q", max_vertices=bounds.cm_max_vertices
-                ).cohen_macaulay,
-                c,
-                details,
-            )
-            if pp:
-                check_derived(
-                    "graft-pp",
-                    None,
-                    lambda: covering.has_packing_property(
-                        gc, max_vertices=bounds.packing_max_vertices
-                    ).holds,
-                    c,
-                    details,
-                )
-            if exact_mfmc:
-                # with m_i the least weight on x_i's whisker, tau_u(gc) =
-                # sum(min(u_i, m_i)) + tau_{(u-m)+}(c), and packing the
-                # whiskers first reaches it, so MFMC (ideal and normal)
-                # carries from c to gc
-                check_derived(
-                    "graft-mfmc",
-                    None,
-                    lambda: polyhedra.is_ideal_clutter(
-                        gc, max_vertices=bounds.cm_max_vertices
-                    ).ideal
-                    and derived_normal(gc),
-                    c,
-                    details,
-                )
-
+        # (check, orbit key) -> its kernel's verdict on that orbit, None if refused
+        orbit: dict = {}
+        gates = {"konig": konig, "pp": pp, "normal": normal, "exact_mfmc": exact_mfmc}
+        for derivation, least, build, details, holds in _parameters(
+            c, labellings, bounds, gates
+        ):
+            x = cache(build)
+            for name, of, gate, kernel in _DERIVED:
+                if of != derivation or (gate is not None and not holds[gate]):
+                    continue
+                # the kernel runs once per orbit, under its own size guard
+                if (name, least) not in orbit:
+                    try:
+                        orbit[name, least] = kernel(x(), bounds)
+                    except InstanceTooLargeError:
+                        orbit[name, least] = None
+                verdict = orbit[name, least]
+                if verdict is None:
+                    summary.skipped[name] = summary.skipped.get(name, 0) + 1
+                else:
+                    check(name, verdict, c, details)
         class_counts[key] = tuple(
             Counter(counts) - old for counts, old in zip(tallies, before)
         )

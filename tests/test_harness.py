@@ -20,14 +20,17 @@ from clutterlab import (
     CorpusSpec,
     InstanceTooLargeError,
     NormalityVerdict,
+    PowerCertificate,
     PropertyReport,
     PropertyVerdict,
     TheoremViolationError,
     VerifyBounds,
+    adjoin_whisker_edge,
     check_properties,
     emit_report,
     enumerate_Q_vertices,
     enumerate_clutters,
+    graft,
     has_konig,
     has_packing_property,
     hilbert_basis,
@@ -48,7 +51,8 @@ from clutterlab import (
     solve_lp_exact,
     verify_theorems,
 )
-from clutterlab import rees
+from clutterlab import cm, covering, rees
+from clutterlab.cm import CmVerdict
 from clutterlab.cli import main
 from clutterlab.harness import _IMPLICATIONS, _canonical_labellings, _edge_key
 
@@ -371,6 +375,12 @@ class TestVerifyBoundsValidation:
             ({"max_weight": "2"}, "must be an integer"),
             ({"whisker_lengths": (1.5,)}, "must be an integer"),
             ({"cm_max_vertices": 16.0}, "must be an integer"),
+            ({"include_graft": "false"}, "include_graft must be a bool"),
+            (
+                {"include_parallelization": 1},
+                "include_parallelization must be a bool",
+            ),
+            ({"include_whiskers": None}, "include_whiskers must be a bool"),
         ],
         ids=lambda v: v if isinstance(v, str) else "-".join(f"{k}={x}" for k, x in v.items()),
     )
@@ -486,20 +496,32 @@ class TestVerifyTheorems:
 
     def test_derived_kernels_run_once_per_orbit(self, monkeypatch):
         # CorpusSpec(4, uniform_size=2) checks 3,807 parallelizations and
-        # 448 whiskers for normality and 2,160 parallelizations for NTF.
-        # Its 63 clutters fall into 10 classes, and one call per orbit of
-        # each class, plus one per corpus verdict, leaves these counts
-        calls = {"is_normal": 0, "is_ntf_bounded": 0}
-        for name in calls:
-            kernel = getattr(rees, name)
+        # 448 whiskers for normality, 2,160 parallelizations for NTF and
+        # Konig, 368 whiskers for Konig and 272 for packing.  Its 63
+        # clutters fall into 10 classes, and one call per orbit of each
+        # class, plus one per corpus verdict (and one Konig call per vertex
+        # orbit for the whisker gate), leaves these counts
+        calls = {
+            (rees, "is_normal"): 0,
+            (rees, "is_ntf_bounded"): 0,
+            (covering, "has_konig"): 0,
+            (covering, "has_packing_property"): 0,
+        }
+        for module, name in calls:
+            kernel = getattr(module, name)
 
-            def counted(*args, _kernel=kernel, _name=name, **kwargs):
-                calls[_name] += 1
+            def counted(*args, _kernel=kernel, _key=(module, name), **kwargs):
+                calls[_key] += 1
                 return _kernel(*args, **kwargs)
 
-            monkeypatch.setattr(rees, name, counted)
+            monkeypatch.setattr(module, name, counted)
         verify_theorems(CorpusSpec(4, uniform_size=2))
-        assert calls == {"is_normal": 357, "is_ntf_bounded": 204}
+        assert {name: n for (_, name), n in calls.items()} == {
+            "is_normal": 357,
+            "is_ntf_bounded": 204,
+            "has_konig": 242,
+            "has_packing_property": 87,
+        }
 
     # K_{2,3}: the parallelizations of a 2-edge path with weight 2 on its
     # middle vertex and on one end
@@ -543,6 +565,79 @@ class TestVerifyTheorems:
         assert info.value.implication == "parall-normal"
         assert info.value.clutter_text == clutter_text
         assert info.value.details == {"w": w}
+
+    PATH_TEXT = "v: x1 x2 x3\ne: x1 x2\ne: x1 x3\n"
+
+    @staticmethod
+    def plant_not_normal(monkeypatch, target):
+        # derived normality (the call under the CM guard) says "not normal"
+        # on the isomorphism class with key ``target``
+        derived_guard = VerifyBounds().cm_max_vertices
+        original = rees.is_normal
+
+        def planted(x, max_vertices=8, max_edges=24):
+            if max_vertices == derived_guard and isomorphism_key(x) == target:
+                return NormalityVerdict(normal=False, witness=((0,) * x.n, 1))
+            return original(x, max_vertices, max_edges)
+
+        monkeypatch.setattr(rees, "is_normal", planted)
+
+    def test_planted_whisker_failure_names_vertex_and_length(self, monkeypatch):
+        # the planted class is the 2-edge path with a 3-edge whisker on one
+        # end; the first failing (clutter, vertex, length) is the path
+        # itself, with its first end vertex
+        path = parse_clutter(self.PATH_TEXT)
+        self.plant_not_normal(
+            monkeypatch, isomorphism_key(adjoin_whisker_edge(path, "x2", 2))
+        )
+        with pytest.raises(TheoremViolationError) as info:
+            verify_theorems(CorpusSpec(3, uniform_size=2))
+        assert info.value.implication == "whisker-normal"
+        assert info.value.clutter_text == self.PATH_TEXT
+        assert info.value.details == {"vertex": "x2", "length": 2}
+
+    def test_planted_graft_failure_names_the_graft(self, monkeypatch):
+        # the graft of the 2-edge path is reported not Cohen-Macaulay
+        target = isomorphism_key(graft(parse_clutter(self.PATH_TEXT)))
+        original = cm.is_cohen_macaulay
+
+        def planted(x, field="Q", max_vertices=16):
+            if isomorphism_key(x) == target:
+                return CmVerdict(cohen_macaulay=False, field=field)
+            return original(x, field, max_vertices)
+
+        monkeypatch.setattr(cm, "is_cohen_macaulay", planted)
+        with pytest.raises(TheoremViolationError) as info:
+            verify_theorems(
+                CorpusSpec(3, uniform_size=2),
+                VerifyBounds(include_parallelization=False, include_whiskers=False),
+            )
+        assert info.value.implication == "graft-cm"
+        assert info.value.clutter_text == self.PATH_TEXT
+        assert info.value.details == {
+            "graft": "v: x1 x2 x3 y1_1 y2_1 y3_1\ne: x1 x2\ne: x1 x3\n"
+            "e: x1 y1_1\ne: x2 y2_1\ne: x3 y3_1\n"
+        }
+
+    def test_table_order_decides_between_checks_on_one_weight(self, monkeypatch):
+        # both normality and NTF are planted to fail on the K_{2,3} class of
+        # parallelizations; on its first (clutter, w) the check listed first
+        # in the summary is the one raised
+        target = isomorphism_key(parse_clutter(self.K23))
+        ntf = rees.is_ntf_bounded
+
+        def planted_ntf(x, max_power, *args, **kwargs):
+            if isomorphism_key(x) == target:
+                return PowerCertificate(False, max_power, ((0,) * x.n, 1))
+            return ntf(x, max_power, *args, **kwargs)
+
+        self.plant_not_normal(monkeypatch, target)
+        monkeypatch.setattr(rees, "is_ntf_bounded", planted_ntf)
+        with pytest.raises(TheoremViolationError) as info:
+            verify_theorems(CorpusSpec(3, uniform_size=2))
+        assert info.value.implication == "parall-normal"
+        assert info.value.clutter_text == self.PATH_TEXT
+        assert info.value.details == {"w": [2, 1, 2]}
 
     def test_smallest_corpus_is_clean(self):
         summary = verify_theorems(CorpusSpec(2))
