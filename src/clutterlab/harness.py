@@ -72,11 +72,13 @@ class CorpusSpec:
     increasing bitmask order over the lexicographic list of possible edges.
     Without it, the corpus is every nonempty antichain of nonempty subsets,
     streamed in depth-first order over the (size, lex)-sorted subset list.
-    Isomorph rejection keeps the first representative of each relabeling
-    class.  Each candidate's edge-index list is keyed before any ``Clutter``
-    is built, by an exact canonical form that minimizes only over the
-    relabelings respecting a refined vertex invariant (see
-    ``isomorphism_key``), so only first representatives are constructed.
+    Isomorph rejection yields the same stream's first member of each
+    relabeling class, in the same order, without sweeping the stream: the
+    classes are grown one edge at a time from each smaller class's first
+    member, told apart by ``isomorphism_key``'s canonical form on edge-index
+    lists, and each class's first member is its least stream position over
+    the n! vertex permutations (see ``_first_class_members``).  Only those
+    members are built.
     """
 
     max_vertices: int
@@ -190,54 +192,145 @@ def isomorphism_key(c: Clutter) -> tuple:
     nauty's vertex-invariant refinement (McKay-Piperno 2014): the least
     bitmask edge list over the relabelings that respect a vertex invariant
     (edge-size profile, refined once by the neighbours' profiles), not over
-    all n! relabelings.  ``enumerate_clutters`` keys its candidates' edge
-    lists by the same routine before it builds them."""
+    all n! relabelings.  ``enumerate_clutters`` tells the one-edge
+    extensions of its isomorph-free levels apart by the same routine on
+    their edge-index lists."""
     return _edge_key(c.edges)
+
+
+def _first_class_members(pool, n: int, limit: int, descending: bool):
+    """The first member, in the labelled stream, of each isomorphism class
+    of nonempty sets of at most ``limit`` pairwise incomparable ``pool``
+    sets on range(n), as ascending pool-index lists, in stream order.
+
+    A member's stream position is the tuple of its pool indices: descending
+    for a uniform pool, whose stream runs in increasing bitmask order (the
+    highest differing bit decides, as in descending tuple order with a
+    prefix first), and ascending for an antichain pool, whose depth-first
+    stream visits a prefix first and then its extensions in index order.
+
+    The classes are built level by level, from canonical parents only, as
+    in orderly generation (Read 1978) and canonical augmentation (McKay
+    1998): level q+1's classes are the `_edge_key`-distinct one-edge
+    extensions of level q's first members.  Every class is reached:
+
+    - The pool is closed under the n! vertex permutations, and the edge
+      limit and dropping stranded vertices are invariant under them, so a
+      class is one S_n-orbit of index sets, all of them in the stream.  The
+      first one the stream meets is the one of least position.
+    - Each member of a level-(q+1) class, minus any one edge, lies in some
+      level-q class, and an isomorphism carries extensions to extensions, so
+      extending every level-q class reaches every level-(q+1) class.
+    - Extensions in one orbit of the parent's automorphisms are isomorphic,
+      so one per orbit is enough.
+    - The new edge must have the greatest rank among the child's edges, an
+      edge's rank being its vertices' degrees, sorted; ranks are invariant.
+      Take any member, delete an edge e of greatest rank, carry the rest
+      onto its class's first member by an isomorphism s, then s(e) onto the
+      least index of its orbit by an automorphism a: that child is
+      isomorphic to the member, and its new edge a(s(e)) has greatest rank.
+    """
+    index = {e: i for i, e in enumerate(pool)}
+    sets = [frozenset(e) for e in pool]
+    # the pool indices comparable with each pool set, itself included
+    comparable = [
+        sum(1 << j for j, t in enumerate(sets) if s <= t or t <= s) for s in sets
+    ]
+    # each vertex permutation as a map on pool indices, and each pool
+    # index's images under all of them
+    images = [
+        [index[tuple(sorted(perm[v] for v in e))] for e in pool]
+        for perm in permutations(range(n))
+    ]
+    columns = list(zip(*images))
+    extreme = max if descending else min
+    firsts = []
+    # each first member with the least index of each pool index's orbit
+    # under the member's automorphisms
+    level = [((), range(len(pool)))]
+    for _ in range(limit):
+        children = {}
+        for chosen, orbit_least in level:
+            mask = sum(1 << i for i in chosen)
+            for i in range(len(pool)):
+                if orbit_least[i] != i or comparable[i] & mask:
+                    continue
+                child = chosen + (i,)
+                edges = [pool[j] for j in child]
+                degree = Counter(v for e in edges for v in e)
+                ranks = [sorted(map(degree.__getitem__, e)) for e in edges]
+                if ranks[-1] == max(ranks):
+                    children.setdefault(_edge_key(edges), child)
+        level = []
+        for child in children.values():
+            # a position starts with its extreme index: sort only under the
+            # permutations that make that entry least
+            heads = list(map(extreme, zip(*map(columns.__getitem__, child))))
+            head = min(heads)
+            near = [image for image, h in zip(images, heads) if h == head]
+            positions = [
+                tuple(sorted(map(image.__getitem__, child), reverse=descending))
+                for image in near
+            ]
+            least = min(positions)
+            # the permutations reaching the least position carry child onto
+            # it; composed with the inverse of one of them, they are its
+            # automorphisms
+            reaching = [image for image, p in zip(near, positions) if p == least]
+            inverse = [0] * len(pool)
+            for i, j in enumerate(reaching[0]):
+                inverse[j] = i
+            automorphisms = [[image[i] for i in inverse] for image in reaching]
+            level.append((least, list(map(min, zip(*automorphisms)))))
+        if not level:
+            break
+        firsts += [least for least, _ in level]
+    for least in sorted(firsts):
+        yield sorted(least)
 
 
 def enumerate_clutters(spec: CorpusSpec) -> Iterator[Clutter]:
     """Stream the corpus in canonical deterministic order."""
     n = spec.max_vertices
     labels = tuple(f"x{i}" for i in range(1, n + 1))
-    seen: set = set()
-
-    def emit(edge_indices) -> Clutter | None:
-        if spec.isomorph_reject:
-            key = _edge_key(edge_indices)
-            if key in seen:
-                return None
-            seen.add(key)
-        return make_clutter(labels, [[labels[v] for v in e] for e in edge_indices])
-
-    if spec.uniform_size is not None:
+    uniform = spec.uniform_size is not None
+    if uniform:
         if n > 6:
             raise InstanceTooLargeError(
                 "exhaustive uniform enumeration is limited to 6 vertices"
             )
         pool = list(combinations(range(n), spec.uniform_size))
-        limit = spec.max_edges if spec.max_edges is not None else len(pool)
+    else:
+        if n > 5:
+            raise InstanceTooLargeError(
+                "exhaustive antichain enumeration is limited to 5 vertices"
+            )
+        pool = sorted(
+            (
+                tuple(s)
+                for k in range(1, n + 1)
+                for s in combinations(range(n), k)
+            ),
+            key=lambda t: (len(t), t),
+        )
+    limit = spec.max_edges if spec.max_edges is not None else len(pool)
+
+    def build(edge_indices) -> Clutter:
+        edges = [[labels[v] for v in pool[i]] for i in edge_indices]
+        return make_clutter(labels, edges)
+
+    if spec.isomorph_reject:
+        yield from map(build, _first_class_members(pool, n, limit, uniform))
+        return
+
+    if uniform:
         for mask in range(1, 1 << len(pool)):
             if mask.bit_count() > limit:
                 continue
-            c = emit([pool[i] for i in range(len(pool)) if mask >> i & 1])
-            if c is not None:
-                yield c
+            yield build([i for i in range(len(pool)) if mask >> i & 1])
         return
 
-    if n > 5:
-        raise InstanceTooLargeError(
-            "exhaustive antichain enumeration is limited to 5 vertices"
-        )
-    pool = sorted(
-        (
-            tuple(s)
-            for k in range(1, n + 1)
-            for s in combinations(range(n), k)
-        ),
-        key=lambda t: (len(t), t),
-    )
     pool_sets = [frozenset(s) for s in pool]
-    limit = spec.max_edges if spec.max_edges is not None else len(pool)
     chosen: list[int] = []
 
     def walk(start: int) -> Iterator[Clutter]:
@@ -246,9 +339,7 @@ def enumerate_clutters(spec: CorpusSpec) -> Iterator[Clutter]:
             if any(s <= pool_sets[j] or pool_sets[j] <= s for j in chosen):
                 continue
             chosen.append(i)
-            c = emit([pool[j] for j in chosen])
-            if c is not None:
-                yield c
+            yield build(chosen)
             if len(chosen) < limit:
                 yield from walk(i + 1)
             chosen.pop()
@@ -645,6 +736,12 @@ def verify_theorems(
     tallies = (summary.checked, summary.skipped)
     # canonical form -> the (checked, skipped) counts its derived checks add
     class_counts: dict[tuple, tuple[Counter, Counter]] = {}
+    # with no derivation on, `_parameters` yields nothing: no class key needed
+    derives = (
+        bounds.include_parallelization
+        or bounds.include_whiskers
+        or bounds.include_graft
+    )
 
     def check(name: str, condition: bool, c: Clutter, details: dict):
         summary.checked[name] = summary.checked.get(name, 0) + 1
@@ -677,6 +774,8 @@ def verify_theorems(
             {"mfmc": mfmc, "ntf": ntf},
         )
 
+        if not derives:
+            continue
         key, labellings = _canonical_labellings(c.edges)
         if key in class_counts:
             for counts, added in zip(tallies, class_counts[key]):

@@ -1,5 +1,6 @@
 """Corpus enumeration, property reports, theorem suite, scan, CLI."""
 
+import hashlib
 import importlib
 import inspect
 import itertools
@@ -51,7 +52,7 @@ from clutterlab import (
     solve_lp_exact,
     verify_theorems,
 )
-from clutterlab import cm, covering, rees
+from clutterlab import cm, covering, harness, rees
 from clutterlab.cm import CmVerdict
 from clutterlab.cli import main
 from clutterlab.harness import _IMPLICATIONS, _canonical_labellings, _edge_key
@@ -146,6 +147,32 @@ ISO_SPECS = [
         CorpusSpec(5, uniform_size=3, max_edges=5, isomorph_reject=True), 19,
         id="n5-d3-q5",
     ),
+    pytest.param(CorpusSpec(5, max_edges=3, isomorph_reject=True), 48, id="n5-q3"),
+]
+
+# six-vertex uniform sequences, too long for the brute oracle: the sha256 of
+# the serialized clutters, each followed by a NUL byte.  155 classes are
+# A000088's 156 graphs without the edgeless one, and 2,135 are A000665's
+# 2,136 3-uniform hypergraphs without the empty one
+SIX_VERTEX_SPECS = [
+    pytest.param(
+        CorpusSpec(6, uniform_size=2, isomorph_reject=True),
+        155,
+        "ebd9fb012e2ea60eeab43a32dda40766eacdb5ea39408c35caa190f79164b7c9",
+        id="n6-d2",
+    ),
+    pytest.param(
+        CorpusSpec(6, uniform_size=3, max_edges=6, isomorph_reject=True),
+        169,
+        "31b6b04a7ebe3f65461ed9c787ee2e60a53441e9b6baadae005d32f26e2b905a",
+        id="n6-d3-q6",
+    ),
+    pytest.param(
+        CorpusSpec(6, uniform_size=3, isomorph_reject=True),
+        2135,
+        "9c12af61a5bb0dfca616de338885e28043d9443a32ae8d2f663e8e4a2994c951",
+        id="n6-d3",
+    ),
 ]
 
 
@@ -157,6 +184,13 @@ class TestIsomorphismKey:
         brute = [serialize_clutter(c) for c in oracles.brute_isomorph_free(labelled)]
         assert mine == brute
         assert len(mine) == count
+
+    @pytest.mark.parametrize("spec, count, digest", SIX_VERTEX_SPECS)
+    def test_six_vertex_sequences(self, spec, count, digest):
+        texts = [serialize_clutter(c) for c in enumerate_clutters(spec)]
+        assert len(texts) == count
+        joined = "".join(text + "\0" for text in texts)
+        assert hashlib.sha256(joined.encode()).hexdigest() == digest
 
     @settings(max_examples=100, deadline=None)
     @given(strategies.clutters(max_n=6, max_q=6), st.randoms(use_true_random=False))
@@ -522,6 +556,28 @@ class TestVerifyTheorems:
             "has_konig": 242,
             "has_packing_property": 87,
         }
+
+    def test_no_class_key_without_derivations(self, monkeypatch):
+        # with every derivation off, no derived check runs, so no corpus
+        # clutter needs its canonical labellings
+        calls = []
+        labellings = harness._canonical_labellings
+
+        def counted(edges):
+            calls.append(edges)
+            return labellings(edges)
+
+        monkeypatch.setattr(harness, "_canonical_labellings", counted)
+        off = VerifyBounds(
+            include_graft=False, include_parallelization=False, include_whiskers=False
+        )
+        spec = CorpusSpec(5, uniform_size=2, isomorph_reject=True)
+        summary = verify_theorems(spec, off)
+        assert calls == []
+        assert summary.lines() == [
+            f"{name}: {33 if k < 4 else 0} checked, 0 violations"
+            for k, name in enumerate(_IMPLICATIONS)
+        ]
 
     # K_{2,3}: the parallelizations of a 2-edge path with weight 2 on its
     # middle vertex and on one end
