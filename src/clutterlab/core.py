@@ -9,7 +9,8 @@ grafting, whiskers) are the combinatorial shadows of the matching ideal
 operations.
 
 Representation invariants, enforced by the ``Clutter`` constructor (and by
-construction in `parallelization` and `minor`, which skip its checks):
+construction in `parallelization`, `minor`, `graft` and
+`adjoin_whisker_edge`, which skip its checks):
 
 * vertex labels are unique non-empty strings, kept in a fixed order;
 * every edge is a strictly increasing tuple of vertex indices;
@@ -138,12 +139,11 @@ class Clutter:
         return tuple(1 if i in members else 0 for i in range(self.n))
 
 
-def _canonical(labels, edge_index_sets, *, minimalize: bool) -> Clutter:
+def _canonical(labels, edge_index_sets) -> Clutter:
     """Build a canonical Clutter from labels and edge index sets.
 
-    Drops duplicate edges, optionally reduces to inclusion-minimal edges,
-    and removes vertices left in no edge.  Raises AntichainViolation when
-    ``minimalize`` is off and two edges are strictly comparable.
+    Drops duplicate edges and removes vertices left in no edge.  Raises
+    AntichainViolation when two edges are strictly comparable.
     """
     sets = []
     seen = set()
@@ -152,16 +152,13 @@ def _canonical(labels, edge_index_sets, *, minimalize: bool) -> Clutter:
         if fs not in seen:
             seen.add(fs)
             sets.append(fs)
-    if minimalize:
-        sets = [s for s in sets if not any(t < s for t in seen)]
-    else:
-        for a in sets:
-            for b in sets:
-                if a < b:
-                    raise AntichainViolation(
-                        tuple(sorted(labels[i] for i in a)),
-                        tuple(sorted(labels[i] for i in b)),
-                    )
+    for a in sets:
+        for b in sets:
+            if a < b:
+                raise AntichainViolation(
+                    tuple(sorted(labels[i] for i in a)),
+                    tuple(sorted(labels[i] for i in b)),
+                )
     used = set()
     for s in sets:
         used.update(s)
@@ -215,7 +212,7 @@ def make_clutter(vertices, edges) -> Clutter:
             raise DuplicateEdgeError(tuple(sorted(labels[i] for i in fs)))
         seen.add(fs)
         sets.append(fs)
-    return _canonical(labels, sets, minimalize=False)
+    return _canonical(labels, sets)
 
 
 _TOKEN = re.compile(r"\S+")
@@ -279,7 +276,7 @@ def parse_clutter(text: str) -> Clutter:
             )
     if labels is None:
         raise ClutterSyntaxError("missing v: line", max(1, text.count(chr(10)) + 1), 1)
-    return _canonical(tuple(labels), edges, minimalize=False)
+    return _canonical(tuple(labels), edges)
 
 
 def serialize_clutter(c: Clutter) -> str:
@@ -345,7 +342,7 @@ def duplicate(c: Clutter, vertex: str) -> Clutter:
     new = len(c.vertices)
     sets = c.edge_sets()
     extra = [(e - {i}) | {new} for e in sets if i in e]
-    return _canonical(labels, sets + extra, minimalize=False)
+    return _canonical(labels, sets + extra)
 
 
 def _vertex_vector(c: Clutter, values, what: str = "weights") -> tuple[int, ...]:
@@ -490,14 +487,14 @@ def graft(c: Clutter, d: int | None = None) -> Clutter:
     suffixes = [f"{i + 1}_{j + 1}" for i in range(c.n) for j in range(d - 1)]
     prefix = _fresh_prefix("y", set(c.vertices), suffixes)
     labels = list(c.vertices)
-    sets = c.edge_sets()
+    edges = list(c.edges)
+    # each new edge holds d - 1 fresh vertices and one old vertex, so it is
+    # incomparable with the old edges (d >= 2 vertices each) and the others
     for i in range(c.n):
-        fresh = []
-        for j in range(d - 1):
-            fresh.append(len(labels))
-            labels.append(f"{prefix}{i + 1}_{j + 1}")
-        sets.append(frozenset([i] + fresh))
-    return _canonical(tuple(labels), sets, minimalize=False)
+        first = len(labels)
+        labels.extend(f"{prefix}{i + 1}_{j + 1}" for j in range(d - 1))
+        edges.append((i, *range(first, first + d - 1)))
+    return _trusted(labels, edges)
 
 
 def adjoin_whisker_edge(c: Clutter, vertex: str, length: int) -> Clutter:
@@ -511,12 +508,12 @@ def adjoin_whisker_edge(c: Clutter, vertex: str, length: int) -> Clutter:
     if length < 1:
         raise ValueError("whisker length must be >= 1")
     i = c.index_of(vertex)
+    if (i,) in c.edges:
+        return c
     suffixes = [str(k + 1) for k in range(length)]
     prefix = _fresh_prefix("z", set(c.vertices), suffixes)
-    labels = list(c.vertices)
-    fresh = []
-    for k in range(length):
-        fresh.append(len(labels))
-        labels.append(f"{prefix}{k + 1}")
-    sets = c.edge_sets() + [frozenset([i] + fresh)]
-    return _canonical(tuple(labels), sets, minimalize=True)
+    labels = c.vertices + tuple(f"{prefix}{k + 1}" for k in range(length))
+    # the new edge holds fresh vertices and v, and {v} is no edge, so it is
+    # incomparable with every old edge
+    n = c.n
+    return _trusted(labels, c.edges + ((i, *range(n, n + length)),))

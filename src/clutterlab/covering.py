@@ -20,6 +20,17 @@ e - v, for e - v; a matching of H / v trades e - v back for e.  Deleting
 or contracting other vertices adds no edge through v, so v stays on one
 edge, or on none (then H / v = H), in every minor where it is kept.
 Grafts and whiskers bring many such vertices.
+
+Nor does a minor H need walking below when every edge of H has at most two
+vertices and its two-vertex edges form a bipartite graph: every minor of H
+is Konig.  The edges of H are an antichain, so each singleton {u} lies on
+no other edge.  Deleting a vertex drops edges; contracting v turns the pairs
+through v into singletons, and keeping the minimal edges drops the edges
+that hold those singletons.  So every minor of H is again singletons, each
+on no other edge, beside a subgraph of the bipartite graph, and its alpha0
+and beta1 each count the singletons plus the alpha0 and beta1 of that
+subgraph, which are equal by Konig's theorem (Konig 1931; Cornuejols,
+Combinatorial Optimization: Packing and Covering, 2001, ch. 1).
 """
 
 from __future__ import annotations
@@ -243,6 +254,42 @@ def _contract(edges: frozenset[int], bit: int) -> frozenset[int] | None:
     return frozenset(shrunk + kept)
 
 
+def _two_colourable(edges: frozenset[int]) -> bool:
+    """True when the two-vertex masks among ``edges``, masks of one or two
+    vertices, form a bipartite graph.
+
+    Breadth-first search on bitmasks, one component at a time: the
+    neighbours of a layer of one colour take the other colour, and a
+    neighbour that already has the layer's colour closes an odd cycle.
+    """
+    adjacent: dict[int, int] = {}
+    for e in edges:
+        low = e & -e
+        high = e ^ low
+        if high:
+            adjacent[low] = adjacent.get(low, 0) | high
+            adjacent[high] = adjacent.get(high, 0) | low
+    seen = 0
+    for start in adjacent:
+        if start & seen:
+            continue
+        colours = [start, 0]
+        layer, side = start, 0
+        while layer:
+            reached = 0
+            while layer:
+                v = layer & -layer
+                reached |= adjacent[v]
+                layer ^= v
+            if reached & colours[side]:
+                return False
+            side ^= 1
+            layer = reached & ~colours[side]
+            colours[side] |= layer
+        seen |= colours[0] | colours[1]
+    return True
+
+
 def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
     """Decide the packing property: every minor satisfies Konig.
 
@@ -256,14 +303,20 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
     3^n assignments because deletions and contractions of distinct vertices
     commute; vertices on no edge are passed over.  Edges that are pairwise
     disjoint end the branch at once: every minor of a matching is a
-    matching, so Konig.  A vertex on exactly one edge of the current minor
-    is not contracted: in every completion it still lies on at most one
-    edge, so contracting it changes neither alpha0 nor beta1 (module
-    docstring), that branch fails only where keeping the vertex fails, and
-    keep comes first in the witness order.  The answer depends only on the
-    edge masks and on which of their vertices are still to be decided, so
-    the per-call memo is keyed on exactly that pair.  Only the witness
-    minor is built as a Clutter.
+    matching, so Konig.  So do edges of at most two vertices whose pairs
+    form a bipartite graph, checked on a memo miss: the edge sets stay
+    antichains (`_delete` keeps a subset, `_contract` keeps the minimal
+    masks), so every completion is singletons, each on no other edge,
+    beside a bipartite graph, and Konig (module docstring).  No completion
+    below fails, so verdicts and lex-first witnesses are unchanged, and a
+    bipartite graph and its graft end at the root.  A vertex on exactly one
+    edge of the current minor is not contracted: in every completion it
+    still lies on at most one edge, so contracting it changes neither
+    alpha0 nor beta1 (module docstring), that branch fails only where
+    keeping the vertex fails, and keep comes first in the witness order.
+    The answer depends only on the edge masks and on which of their
+    vertices are still to be decided, so the per-call memo is keyed on
+    exactly that pair.  Only the witness minor is built as a Clutter.
     """
     _guard_vertices(c.n, max_vertices, "packing property")
     n = c.n
@@ -271,9 +324,13 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
 
     def fails(edges: frozenset[int], i: int) -> bool:
         support = size = 0
+        graph = True  # every edge has at most two vertices
         for e in edges:
             support |= e
-            size += e.bit_count()
+            k = e.bit_count()
+            size += k
+            if k > 2:
+                graph = False
         if size == support.bit_count():
             return False  # pairwise disjoint: a matching, and so is every minor
         ahead = support >> i << i
@@ -281,7 +338,11 @@ def has_packing_property(c: Clutter, max_vertices: int = 15) -> PackingVerdict:
         hit = memo.get(key)
         if hit is not None:
             return hit
-        if not ahead:
+        if graph and _two_colourable(edges):
+            # singletons beside a bipartite graph: every completion is Konig
+            # (module docstring)
+            result = False
+        elif not ahead:
             result = _cover_number(edges) != _matching_number(edges)
         else:
             bit = ahead & -ahead

@@ -238,8 +238,9 @@ class TestParallelization:
 
 
 class TestTrustedConstruction:
-    """`parallelization` and `minor` build their clutters without the
-    constructor's checks; each output equals its revalidated copy."""
+    """`parallelization`, `minor`, `graft` and `adjoin_whisker_edge` build
+    their clutters without the constructor's checks; each output equals its
+    revalidated copy."""
 
     def test_outputs_pass_full_validation(self):
         for c in enumerate_clutters(CorpusSpec(4)):
@@ -254,6 +255,26 @@ class TestTrustedConstruction:
                 except UnitIdealError:
                     continue
                 assert m == Clutter(m.vertices, m.edges)
+
+    def test_grafts_and_whiskers_pass_full_validation(self):
+        corpus = list(enumerate_clutters(CorpusSpec(4))) + [
+            c
+            for d in range(1, 6)
+            for c in enumerate_clutters(
+                CorpusSpec(5, uniform_size=d, isomorph_reject=True)
+            )
+        ]
+        grafts = 0
+        for c in corpus:
+            if is_uniform(c):
+                g = graft(c)
+                assert g == Clutter(g.vertices, g.edges)
+                grafts += 1
+            for v in c.vertices:
+                for length in (1, 2):
+                    w = adjoin_whisker_edge(c, v, length)
+                    assert w == Clutter(w.vertices, w.edges)
+        assert (len(corpus), grafts) == (243, 171)
 
 
 class TestUniformAndGraft:

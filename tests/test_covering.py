@@ -1,5 +1,7 @@
 """Covers, matchings, Konig, weighted covers, and the packing property."""
 
+from itertools import combinations, product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +43,16 @@ SMALL_GRAFTS = [
     for d in (2, 3)
     for base in enumerate_clutters(CorpusSpec(4, uniform_size=d, isomorph_reject=True))
 ]
+
+
+# every antichain class on at most 5 vertices whose edges have at most two
+# vertices, and every graph class on 6 vertices: the clutters the bipartite
+# prune can reach from the root
+SMALL_GRAPHS = [
+    c
+    for c in enumerate_clutters(CorpusSpec(5, isomorph_reject=True))
+    if all(len(e) <= 2 for e in c.edges)
+] + list(enumerate_clutters(CorpusSpec(6, uniform_size=2, isomorph_reject=True)))
 
 
 def labeled_covers(c):
@@ -263,6 +275,40 @@ class TestPackingProperty:
         monkeypatch.setattr(covering, "_delete", no_delete)
         c = parse_clutter("v: a b c d e f\ne: a b\ne: c d\ne: e f\n")
         assert has_packing_property(c).holds
+
+    def test_bipartite_graft_is_pruned_at_the_root(self, monkeypatch):
+        # the graft of K_{2,3} hangs a pendant edge on each vertex and stays
+        # bipartite, so every minor is Konig and no vertex is ever deleted
+        def no_delete(edges, bit):
+            raise AssertionError("the walk went past the root")
+
+        monkeypatch.setattr(covering, "_delete", no_delete)
+        k23 = parse_clutter(
+            "v: a1 a2 b1 b2 b3\n"
+            + "".join(f"e: a{i} b{j}\n" for i in (1, 2) for j in (1, 2, 3))
+        )
+        assert has_packing_property(graft(k23)).holds
+
+    def test_graph_witnesses_are_the_brute_lex_first(self):
+        # where edges have at most two vertices the walk stops at every
+        # bipartite minor; verdicts and witnesses must not move
+        failing = 0
+        for c in SMALL_GRAPHS:
+            self.assert_brute_lex_first(c)
+            failing += not has_packing_property(c).holds
+        assert (len(SMALL_GRAPHS), failing) == (207, 147)
+
+    def test_two_colourable_matches_brute_force(self):
+        # every labelled graph on 5 vertices, beside a singleton edge
+        pairs = list(combinations(range(5), 2))
+        for chosen in product((False, True), repeat=len(pairs)):
+            graph = [p for p, on in zip(pairs, chosen) if on]
+            bipartite = any(
+                all(side[a] != side[b] for a, b in graph)
+                for side in product((0, 1), repeat=5)
+            )
+            masks = frozenset([1 << 5] + [1 << a | 1 << b for a, b in graph])
+            assert covering._two_colourable(masks) == bipartite, graph
 
     def test_disjoint_pair_beside_a_triangle_keeps_its_witness(self):
         # two of the edges are disjoint but not all, so the walk goes on and
